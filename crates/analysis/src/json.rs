@@ -1,5 +1,6 @@
-//! Minimal JSON reading and writing — just enough for the incremental
-//! cache file and the `--format json` / `--format sarif` emitters.
+//! Minimal JSON reading and writing — just enough for the
+//! `--format json` / `--format sarif` emitters (reading exists so the
+//! emitter tests can check their output parses back).
 //!
 //! The workspace builds offline with zero external dependencies, so
 //! this module hand-rolls the subset of JSON the tool needs: the six
@@ -7,12 +8,10 @@
 //! input), and a pretty printer. Two deliberate restrictions keep it
 //! honest:
 //!
-//! * Numbers are carried as `f64`. Anything that must round-trip all
-//!   64 bits (content hashes, registry hashes) is stored as a hex
-//!   *string* instead — see [`Value::as_u64_hex`].
+//! * Numbers are carried as `f64`; the emitters only write counts and
+//!   line numbers.
 //! * Object keys keep insertion order; duplicate keys are not
-//!   rejected (last write wins on lookup), matching what the cache
-//!   writer produces.
+//!   rejected (last write wins on lookup).
 
 use std::fmt::Write as _;
 
@@ -74,14 +73,6 @@ impl Value {
         Some(n as u32)
     }
 
-    /// A 64-bit hash stored as a `"0x…"` hex string (JSON numbers are
-    /// doubles and would silently lose the high bits).
-    #[must_use]
-    pub fn as_u64_hex(&self) -> Option<u64> {
-        let s = self.as_str()?.strip_prefix("0x")?;
-        u64::from_str_radix(s, 16).ok()
-    }
-
     /// The element list, if this is an array.
     #[must_use]
     pub fn as_arr(&self) -> Option<&[Value]> {
@@ -91,18 +82,8 @@ impl Value {
         }
     }
 
-    /// The field list, if this is an object.
-    #[must_use]
-    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
     /// Renders the value as pretty-printed JSON (two-space indent,
-    /// trailing newline), the format both the cache file and the
-    /// emitters use so diffs stay readable.
+    /// trailing newline), so emitted reports diff readably.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -169,12 +150,6 @@ pub fn s(text: impl Into<String>) -> Value {
 pub fn n(count: usize) -> Value {
     #[allow(clippy::cast_precision_loss)]
     Value::Num(count as f64)
-}
-
-/// Renders a `u64` hash as the `"0x…"` string form the cache uses.
-#[must_use]
-pub fn hex(hash: u64) -> Value {
-    Value::Str(format!("{hash:#018x}"))
 }
 
 fn indent(out: &mut String, depth: usize) {
@@ -408,14 +383,12 @@ mod tests {
         let doc = Value::Obj(vec![
             ("name".into(), s("hindex")),
             ("count".into(), n(3)),
-            ("hash".into(), hex(0xdead_beef_cafe_f00d)),
             ("flags".into(), Value::Arr(vec![Value::Bool(true), Value::Null])),
             ("nested".into(), Value::Obj(vec![("x".into(), Value::Num(1.5))])),
         ]);
         let text = doc.render();
         let back = parse(&text).unwrap();
         assert_eq!(back, doc);
-        assert_eq!(back.get("hash").unwrap().as_u64_hex(), Some(0xdead_beef_cafe_f00d));
         assert_eq!(back.get("count").unwrap().as_u32(), Some(3));
     }
 
@@ -441,11 +414,5 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} extra").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
-    }
-
-    #[test]
-    fn hashes_keep_all_64_bits() {
-        let h = u64::MAX - 7;
-        assert_eq!(parse(&hex(h).render()).unwrap().as_u64_hex(), Some(h));
     }
 }

@@ -21,7 +21,6 @@
 
 pub mod ast;
 pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod emit;
 pub mod json;
@@ -33,7 +32,6 @@ pub mod workspace;
 
 use callgraph::CallGraph;
 use resolve::Resolver;
-use std::collections::HashSet;
 use workspace::Workspace;
 
 /// The shared analysis context handed to every lint: the workspace
@@ -46,39 +44,15 @@ pub struct Analysis<'ws> {
     pub resolver: Resolver,
     /// Conservative whole-workspace call graph.
     pub graph: CallGraph,
-    dirty: Option<HashSet<String>>,
 }
 
 impl<'ws> Analysis<'ws> {
-    /// Builds the context over the full workspace (every file dirty).
+    /// Builds the context over the full workspace.
     #[must_use]
     pub fn build(ws: &'ws Workspace) -> Self {
         let resolver = Resolver::build(ws);
         let graph = CallGraph::build(ws, &resolver);
-        Self {
-            ws,
-            resolver,
-            graph,
-            dirty: None,
-        }
-    }
-
-    /// Builds the context with an incremental dirty set: file-local
-    /// lints only re-examine paths in `dirty` (the cache replays their
-    /// prior findings for clean files). Cross-file lints always see the
-    /// whole workspace — their facts span files, so a clean file can
-    /// still participate in a violation.
-    #[must_use]
-    pub fn with_dirty(ws: &'ws Workspace, dirty: HashSet<String>) -> Self {
-        let mut a = Self::build(ws);
-        a.dirty = Some(dirty);
-        a
-    }
-
-    /// True if a file-local lint should examine `path` this run.
-    #[must_use]
-    pub fn should_lint(&self, path: &str) -> bool {
-        self.dirty.as_ref().is_none_or(|d| d.contains(path))
+        Self { ws, resolver, graph }
     }
 }
 
@@ -149,13 +123,11 @@ pub trait Lint {
     /// One-line description for `--list` and documentation.
     fn summary(&self) -> &'static str;
     /// True for lints that correlate facts across files (these are
-    /// skipped by `--quick` and always re-run by the incremental
-    /// cache).
+    /// skipped by `--quick`).
     fn cross_file(&self) -> bool {
         false
     }
     /// Runs the lint over the analysis context, appending findings.
-    /// File-local lints must honour [`Analysis::should_lint`].
     fn run(&self, ctx: &Analysis, out: &mut Vec<Finding>);
 }
 
@@ -178,47 +150,6 @@ pub fn all_lints() -> Vec<Box<dyn Lint>> {
     ]
 }
 
-/// Runs every registered lint over a pre-built context (cross-file
-/// lints are skipped when `quick` is set) and returns findings sorted
-/// by file, line, lint.
-#[must_use]
-pub fn run_lints_with(ctx: &Analysis, quick: bool) -> Vec<Finding> {
-    let mut findings = run_file_local_lints(ctx);
-    if !quick {
-        findings.extend(run_cross_lints(ctx));
-    }
-    sort_findings(&mut findings);
-    findings
-}
-
-/// Runs only the file-local lints (the cacheable half: each finding is
-/// a function of one file's contents). Honours the context's dirty
-/// set.
-#[must_use]
-pub fn run_file_local_lints(ctx: &Analysis) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for lint in all_lints() {
-        if !lint.cross_file() {
-            lint.run(ctx, &mut findings);
-        }
-    }
-    findings
-}
-
-/// Runs only the cross-file lints. These always see the whole
-/// workspace: their facts span files, so the incremental cache cannot
-/// replay them unless *nothing* changed.
-#[must_use]
-pub fn run_cross_lints(ctx: &Analysis) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for lint in all_lints() {
-        if lint.cross_file() {
-            lint.run(ctx, &mut findings);
-        }
-    }
-    findings
-}
-
 /// Sorts findings into the canonical (file, line, lint) report order.
 pub fn sort_findings(findings: &mut [Finding]) {
     findings.sort_by(|a, b| {
@@ -226,8 +157,18 @@ pub fn sort_findings(findings: &mut [Finding]) {
     });
 }
 
-/// Convenience wrapper: builds the context and runs every lint.
+/// Builds the analysis context and runs every registered lint
+/// (cross-file lints are skipped when `quick` is set); returns findings
+/// sorted by file, line, lint.
 #[must_use]
 pub fn run_lints(ws: &Workspace, quick: bool) -> Vec<Finding> {
-    run_lints_with(&Analysis::build(ws), quick)
+    let ctx = Analysis::build(ws);
+    let mut findings = Vec::new();
+    for lint in all_lints() {
+        if !(quick && lint.cross_file()) {
+            lint.run(&ctx, &mut findings);
+        }
+    }
+    sort_findings(&mut findings);
+    findings
 }

@@ -151,10 +151,7 @@ impl crate::Lint for FieldArithmetic {
     }
     fn run(&self, ctx: &Analysis, out: &mut Vec<Finding>) {
         for file in &ctx.ws.files {
-            if file.kind != FileKind::Library
-                || file.path == "crates/hashing/src/field.rs"
-                || !ctx.should_lint(&file.path)
-            {
+            if file.kind != FileKind::Library || file.path == "crates/hashing/src/field.rs" {
                 continue;
             }
             for (line, toks) in live_lines(file) {
@@ -325,9 +322,6 @@ impl crate::Lint for ForbidNondeterminism {
     }
     fn run(&self, ctx: &Analysis, out: &mut Vec<Finding>) {
         for file in &ctx.ws.files {
-            if !ctx.should_lint(&file.path) {
-                continue;
-            }
             if file.is_crate_root && matches!(file.kind, FileKind::Library | FileKind::Tool) {
                 let toks = &file.tokens;
                 let has_forbid = toks.windows(7).any(|w| {
@@ -561,7 +555,7 @@ impl crate::Lint for LegacyIngestVerbs {
     fn run(&self, ctx: &Analysis, out: &mut Vec<Finding>) {
         for imp in &ctx.resolver.impls {
             let file = &ctx.ws.files[imp.file];
-            if file.kind != FileKind::Library || imp.in_test || !ctx.should_lint(&file.path) {
+            if file.kind != FileKind::Library || imp.in_test {
                 continue;
             }
             let is_estimator = imp
@@ -1601,7 +1595,6 @@ impl crate::Lint for OverflowUnsafety {
             if file.kind != FileKind::Library
                 || !L10_SCOPE.iter().any(|p| file.path.starts_with(p))
                 || file.path == "crates/hashing/src/field.rs"
-                || !ctx.should_lint(&file.path)
             {
                 continue;
             }

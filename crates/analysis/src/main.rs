@@ -8,20 +8,12 @@
 //!     --output target/analysis.sarif                    # machine-readable report
 //! cargo run -p hindex-analysis -- --list                # print the lint catalogue
 //! ```
-//!
-//! Runs are incremental by default: file hashes and per-file findings
-//! are cached in `target/analysis-cache.json`, so unchanged files are
-//! replayed instead of re-linted (see [`hindex_analysis::cache`]).
 #![forbid(unsafe_code)]
 
 use hindex_analysis::baseline::{apply, Baseline};
-use hindex_analysis::cache::{self, Cache, CachedFile};
 use hindex_analysis::emit::{render_json, render_sarif, render_text, Format};
-use hindex_analysis::workspace::{fnv1a_bytes, Workspace};
-use hindex_analysis::{
-    all_lints, run_cross_lints, run_file_local_lints, sort_findings, Analysis, Finding,
-};
-use std::collections::{BTreeMap, HashSet};
+use hindex_analysis::workspace::Workspace;
+use hindex_analysis::{all_lints, run_lints};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -38,7 +30,6 @@ OPTIONS:
     --quick            Run only file-local lints (skips cross-file L2/L7/L9/L11/L12)
     --format <FMT>     Report format: text (default), json, or sarif
     --output <FILE>    Write the report to FILE instead of stdout
-    --no-cache         Ignore and do not write target/analysis-cache.json
     --list             Print the lint catalogue and exit
     --help             Show this help
 
@@ -57,7 +48,6 @@ struct Options {
     list: bool,
     format: Format,
     output: Option<PathBuf>,
-    no_cache: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -69,7 +59,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         list: false,
         format: Format::Text,
         output: None,
-        no_cache: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -92,7 +81,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--deny" => opts.deny = true,
             "--quick" => opts.quick = true,
-            "--no-cache" => opts.no_cache = true,
             "--list" => opts.list = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -102,106 +90,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         }
     }
     Ok(opts)
-}
-
-/// What one lint pass produced, however it was computed.
-struct PassResult {
-    findings: Vec<Finding>,
-    /// Total workspace `.rs` files.
-    rs_files: usize,
-    /// Files whose file-local findings came from the cache.
-    hits: usize,
-    /// Files that were (re-)linted this run.
-    misses: usize,
-}
-
-/// Runs the lints over `root`, replaying cached per-file results where
-/// content hashes match. Returns the merged findings plus hit/miss
-/// accounting for the summary line.
-fn run_pass(opts: &Options) -> std::io::Result<PassResult> {
-    let sources = Workspace::read_sources(&opts.root)?;
-    let hashes: BTreeMap<String, u64> = sources
-        .iter()
-        .map(|(p, c)| (p.clone(), fnv1a_bytes(c.as_bytes())))
-        .collect();
-    let rs_count = |m: &BTreeMap<String, u64>| m.keys().filter(|p| p.ends_with(".rs")).count();
-    let cache_path = cache::default_path(&opts.root);
-    let cached = if opts.no_cache { None } else { Cache::load(&cache_path) };
-
-    // Fast path: nothing changed since the last full run — replay the
-    // whole report (file-local AND cross findings) without parsing.
-    if !opts.quick {
-        if let Some(c) = &cached {
-            if c.full_hit(&hashes) {
-                let mut findings: Vec<Finding> = c
-                    .files
-                    .values()
-                    .flat_map(|e| e.findings.iter().cloned())
-                    .chain(c.cross.iter().cloned())
-                    .collect();
-                sort_findings(&mut findings);
-                let rs_files = rs_count(&hashes);
-                return Ok(PassResult { findings, rs_files, hits: rs_files, misses: 0 });
-            }
-        }
-    }
-
-    let ws = Workspace::from_sources(sources);
-    let rs_files = ws.files.len();
-
-    // Dirty set: files the cache cannot vouch for.
-    let dirty: HashSet<String> = ws
-        .files
-        .iter()
-        .filter(|f| {
-            cached.as_ref().is_none_or(|c| {
-                c.files.get(&f.path).is_none_or(|e| e.hash != f.content_hash)
-            })
-        })
-        .map(|f| f.path.clone())
-        .collect();
-    let misses = dirty.len();
-    let hits = rs_files - misses;
-
-    let ctx = Analysis::with_dirty(&ws, dirty.clone());
-    let mut local = run_file_local_lints(&ctx);
-    // Replay the recorded file-local findings for every clean file.
-    if let Some(c) = &cached {
-        for f in &ws.files {
-            if !dirty.contains(&f.path) {
-                if let Some(entry) = c.files.get(&f.path) {
-                    local.extend(entry.findings.iter().cloned());
-                }
-            }
-        }
-    }
-    let cross = if opts.quick { Vec::new() } else { run_cross_lints(&ctx) };
-
-    // Persist — but never from a --quick run, whose report is partial.
-    if !opts.no_cache && !opts.quick {
-        let mut files: BTreeMap<String, CachedFile> = hashes
-            .iter()
-            .map(|(p, &hash)| (p.clone(), CachedFile { hash, findings: Vec::new() }))
-            .collect();
-        for f in &local {
-            if let Some(entry) = files.get_mut(&f.file) {
-                entry.findings.push(f.clone());
-            }
-        }
-        let next = Cache {
-            registry_hash: cache::registry_hash(),
-            files,
-            cross: cross.clone(),
-        };
-        if let Err(e) = next.save(&cache_path) {
-            eprintln!("warning: could not write {}: {e}", cache_path.display());
-        }
-    }
-
-    let mut findings = local;
-    findings.extend(cross);
-    sort_findings(&mut findings);
-    Ok(PassResult { findings, rs_files, hits, misses })
 }
 
 fn main() -> ExitCode {
@@ -227,8 +115,8 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let pass = match run_pass(&opts) {
-        Ok(p) => p,
+    let ws = match Workspace::load(&opts.root) {
+        Ok(ws) => ws,
         Err(e) => {
             eprintln!("error: cannot read workspace at {}: {e}", opts.root.display());
             return ExitCode::from(2);
@@ -243,11 +131,11 @@ fn main() -> ExitCode {
         Ok(text) => Baseline::parse(&text),
         Err(_) => Baseline::default(),
     };
-    let applied = apply(&baseline, pass.findings);
+    let applied = apply(&baseline, run_lints(&ws, opts.quick));
 
     let report = match opts.format {
         Format::Text => render_text(&applied),
-        Format::Json => render_json(&applied, pass.rs_files),
+        Format::Json => render_json(&applied, ws.files.len()),
         Format::Sarif => render_sarif(&applied),
     };
     if let Some(path) = &opts.output {
@@ -292,14 +180,9 @@ fn main() -> ExitCode {
     }
 
     let mode = if opts.quick { " (quick: file-local lints only)" } else { "" };
-    let cache_note = if opts.no_cache {
-        "cache off".to_string()
-    } else {
-        format!("cache {} hit / {} miss", pass.hits, pass.misses)
-    };
     println!(
-        "hindex-analysis: {} file(s), {} new finding(s), {} baselined, {} stale entr(ies), {cache_note}{mode}",
-        pass.rs_files,
+        "hindex-analysis: {} file(s), {} new finding(s), {} baselined, {} stale entr(ies){mode}",
+        ws.files.len(),
         applied.new.len(),
         applied.silenced,
         applied.stale.len(),

@@ -56,9 +56,6 @@ pub struct SourceFile {
     pub items: Vec<Item>,
     /// 1-based line ranges covered by `#[test]` / `#[cfg(test)]` items.
     pub test_ranges: Vec<(u32, u32)>,
-    /// FNV-1a hash of the file's bytes — the incremental cache's
-    /// change-detection key.
-    pub content_hash: u64,
 }
 
 impl SourceFile {
@@ -77,7 +74,6 @@ impl SourceFile {
             tokens,
             items,
             test_ranges,
-            content_hash: fnv1a_bytes(contents.as_bytes()),
         }
     }
 
@@ -98,18 +94,6 @@ impl SourceFile {
         }
         ""
     }
-}
-
-/// FNV-1a over raw bytes — the same digest family the runtime crates
-/// use for state fingerprints, reused here for cache keys.
-#[must_use]
-pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn classify(path: &str) -> FileKind {
@@ -264,21 +248,11 @@ impl Workspace {
     }
 
     /// Walks `root` collecting every `.rs` file and `Cargo.toml`
-    /// outside `target/` and VCS metadata, as raw `(path, contents)`
-    /// pairs sorted by path. The incremental cache hashes these
-    /// *before* any parsing so an all-clean run can skip the parse
-    /// entirely.
-    pub fn read_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
+    /// outside `target/` and VCS metadata, and lexes/parses them all.
+    pub fn load(root: &Path) -> io::Result<Self> {
         let mut sources = Vec::new();
         walk(root, root, &mut sources)?;
-        sources.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(sources)
-    }
-
-    /// Walks `root` and lexes/parses everything ([`Self::read_sources`]
-    /// followed by [`Self::from_sources`]).
-    pub fn load(root: &Path) -> io::Result<Self> {
-        Ok(Self::from_sources(Self::read_sources(root)?))
+        Ok(Self::from_sources(sources))
     }
 
     /// Looks up a file by its repo-relative path.
@@ -395,12 +369,5 @@ hindex-common = { path = "../common" }
         assert_eq!(ws.files.len(), 1);
         assert_eq!(ws.manifests.len(), 1);
         assert_eq!(ws.manifest("crates/x").unwrap().package_name.as_deref(), Some("x"));
-    }
-
-    #[test]
-    fn content_hash_tracks_bytes() {
-        let a = SourceFile::parse("src/a.rs".into(), "fn a() {}");
-        let b = SourceFile::parse("src/a.rs".into(), "fn a() { }");
-        assert_ne!(a.content_hash, b.content_hash);
     }
 }

@@ -1,6 +1,5 @@
 //! End-to-end tests of the `hindex-analysis` binary: stale-baseline
-//! enforcement, the incremental cache, report formats, and the
-//! baseline/deny workflow — each against a throwaway workspace under
+//! enforcement, report formats, and the baseline/deny workflow — each against a throwaway workspace under
 //! the system temp dir, so the real repository is never touched.
 
 use std::path::{Path, PathBuf};
@@ -78,60 +77,6 @@ fn stale_baseline_entry_fails_full_run_and_warns_quick() {
     let (ok, _stdout, stderr) = run(&root, &["--quick"]);
     assert!(ok, "quick run must not fail on stale entries: {stderr}");
     assert!(stderr.contains("possibly stale"), "{stderr}");
-
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn cache_replays_clean_files_and_tracks_edits() {
-    let root = temp_root("cache");
-    write(&root, "crates/sketch/src/lib.rs", CLEAN);
-    write(&root, "crates/sketch/src/extra.rs", "//! More docs.\npub fn two() -> u64 { 2 }\n");
-
-    // Cold run: every file is a miss; the cache file appears.
-    let (ok, stdout, _) = run(&root, &[]);
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("cache 0 hit / 2 miss"), "{stdout}");
-    assert!(root.join("target/analysis-cache.json").is_file());
-
-    // Warm run: every file is a hit.
-    let (ok, stdout, _) = run(&root, &[]);
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("cache 2 hit / 0 miss"), "{stdout}");
-
-    // Touch one file: exactly that file re-lints.
-    write(&root, "crates/sketch/src/extra.rs", "//! More docs.\npub fn two() -> u64 { 3 }\n");
-    let (ok, stdout, _) = run(&root, &[]);
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("cache 1 hit / 1 miss"), "{stdout}");
-
-    // --no-cache bypasses both read and write.
-    let (ok, stdout, _) = run(&root, &["--no-cache"]);
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("cache off"), "{stdout}");
-
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn cached_replay_reports_identical_findings() {
-    let root = temp_root("replay");
-    write(&root, "crates/core/src/acc.rs", OVERFLOWY);
-
-    let (_, cold, _) = run(&root, &[]);
-    assert!(cold.contains("1 new finding(s)"), "{cold}");
-    let (_, warm, _) = run(&root, &[]);
-    assert!(warm.contains("1 new finding(s)"), "replay must not drop findings: {warm}");
-    assert!(warm.contains("cache 1 hit / 0 miss"), "{warm}");
-    // The finding block itself is byte-identical either way.
-    let block = |s: &str| {
-        s.lines()
-            .filter(|l| l.contains("[L10]") || l.contains("baseline key:"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(block(&cold), block(&warm));
-    assert!(!block(&cold).is_empty());
 
     std::fs::remove_dir_all(&root).ok();
 }

@@ -1,22 +1,19 @@
 //! `hindex engine`: sharded parallel ingestion of a cash-register
 //! stream, optionally supervised with deterministic fault injection.
 //!
-//! Both engine policies run through **one generic driver** written
-//! against the [`Engine`] trait; the plain [`ShardedEngine`] and the
-//! self-healing [`SupervisedEngine`] differ only in construction and
-//! two policy hooks (read-plane access, which the trait — living below
-//! the engine crate — cannot name).
+//! One driver runs the one engine type; `--supervise on` / `--faults`
+//! only change the [`Supervision`] policy it is built with.
 
 use crate::args::Parsed;
 use crate::io::read_updates;
 use hindex_baseline::CashTable;
 use hindex_common::{
-    ApproxKind, Delta, Engine, Epsilon, Estimate, Guarantee, Mergeable, Snapshot, SpaceUsage,
+    ApproxKind, Delta, Epsilon, Estimate, Guarantee, Mergeable, Snapshot, SpaceUsage,
 };
 use hindex_core::{CashRegisterHIndex, CashRegisterParams};
 use hindex_engine::{
-    BatchIngest, EngineConfig, EngineError, FaultPlan, QueryReport, ReadHandle, ShardedEngine,
-    SupervisedEngine, SupervisorConfig,
+    BatchIngest, EngineConfig, FaultPlan, QueryReport, ShardedEngine, Supervision,
+    SupervisorConfig,
 };
 use hindex_obs::EngineObserver;
 use rand::rngs::StdRng;
@@ -34,8 +31,8 @@ const PUBLISH_WAIT_MS: u64 = 5_000;
 /// worker shards, then answers from the merged shard states. With
 /// `--obs on`, an [`EngineObserver`] is attached and its metrics
 /// snapshot is appended to the report. With `--faults SPEC` (or
-/// `--supervise on`), the run goes through the self-healing
-/// [`SupervisedEngine`]: micro-checkpoints, bounded replay, and
+/// `--supervise on`), the engine runs under [`Supervision::Restart`]:
+/// micro-checkpoints, bounded replay, and
 /// restart-from-checkpoint on worker death — the printed `digest` is
 /// bit-comparable with a fault-free run's. With `--publish-interval N`
 /// the engine carries a lock-free read plane and the report is
@@ -80,7 +77,7 @@ pub fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
     }
     let config = builder.build().map_err(|e| e.to_string())?;
 
-    let policy = if supervise {
+    let (policy, fault_line) = if supervise {
         let sup = SupervisorConfig {
             checkpoint_interval: parsed.u64_or("ckpt-interval", 4)?,
             max_replay_words: parsed.u64_or("replay-words", 1 << 20)? as usize,
@@ -103,9 +100,9 @@ pub fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
             }
         };
         suppress_injected_panics();
-        Some((sup, plan, fault_line))
+        (Supervision::Restart(sup, plan), Some(fault_line))
     } else {
-        None
+        (Supervision::FailHard, None)
     };
 
     let suffix = if supervise { ", supervised" } else { "" };
@@ -114,13 +111,18 @@ pub fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
             let params = CashRegisterParams::Additive { epsilon: eps, delta };
             let contract = Guarantee::randomized(ApproxKind::Additive, eps, delta);
             let prototype = CashRegisterHIndex::new(params, &mut StdRng::seed_from_u64(seed));
-            launch(config, policy.as_ref(), prototype, &updates, Some(contract), fresh, |m| {
-                format!("sharded ℓ₀-sampling sketch (Alg 6, x = {}){suffix}", m.num_samplers())
-            })?
+            let engine = ShardedEngine::with_policy(config, policy, prototype)
+                .map_err(|e| e.to_string())?;
+            let (merged, outcome) = drive(engine, &updates, Some(contract), fresh)?;
+            let x = merged.num_samplers();
+            (format!("sharded ℓ₀-sampling sketch (Alg 6, x = {x}){suffix}"), outcome)
         }
-        "exact" => launch(config, policy.as_ref(), CashTable::new(), &updates, None, fresh, |_| {
-            format!("sharded exact table{suffix}")
-        })?,
+        "exact" => {
+            let engine = ShardedEngine::with_policy(config, policy, CashTable::new())
+                .map_err(|e| e.to_string())?;
+            let (_, outcome) = drive(engine, &updates, None, fresh)?;
+            (format!("sharded exact table{suffix}"), outcome)
+        }
         other => return Err(format!("unknown --algorithm `{other}` (sketch|exact)")),
     };
 
@@ -134,7 +136,7 @@ pub fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
     let report = &outcome.report;
     let mut out = format!("algorithm : {name}\nupdates   : {}\n", updates.len());
     out.push_str(&format!("shards    : {shards} (batch {batch})\n"));
-    if let Some((_, _, fault_line)) = &policy {
+    if let Some(fault_line) = &fault_line {
         let (restarts, replayed) = metrics
             .as_ref()
             .map_or((0, 0), |m| (m.restarts, m.replayed_batches));
@@ -152,7 +154,7 @@ pub fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
         "h-index   : {}\ndigest    : {:#018x}\n",
         report.estimate, outcome.digest
     ));
-    if outcome.scratch > 0 || policy.is_some() {
+    if outcome.scratch > 0 || supervise {
         out.push_str(&format!(
             "space     : {} words (+ {} replay scratch)\n",
             report.space_words, outcome.scratch
@@ -200,103 +202,27 @@ struct Outcome {
     elapsed: std::time::Duration,
 }
 
-/// Constructs the requested policy around `prototype` and hands it to
-/// the generic driver; `name` renders the algorithm line from the
-/// final merged estimator. The only policy-specific code left in this
-/// file.
-fn launch<E>(
-    config: EngineConfig,
-    policy: Option<&(SupervisorConfig, FaultPlan, String)>,
-    prototype: E,
-    updates: &[(u64, u64)],
-    contract: Option<Guarantee>,
-    fresh: bool,
-    name: impl FnOnce(&E) -> String,
-) -> Result<(String, Outcome), String>
-where
-    E: BatchIngest<(u64, u64)>
-        + Mergeable
-        + Estimate
-        + SpaceUsage
-        + Snapshot
-        + Clone
-        + Send
-        + Sync
-        + 'static,
-{
-    let (merged, outcome) = match policy {
-        Some((sup, plan, _)) => drive(
-            SupervisedEngine::with_faults(config, sup.clone(), plan.clone(), prototype)
-                .map_err(|e| e.to_string())?,
-            updates,
-            contract,
-            fresh,
-        )?,
-        None => drive(ShardedEngine::new(config, prototype), updates, contract, fresh)?,
-    };
-    Ok((name(&merged), outcome))
-}
-
-/// Policy hooks the unified driver needs beyond the [`Engine`] verb
-/// set: the trait lives below the engine crate and cannot name
-/// [`ReadHandle`], so read-plane access enters through this adapter.
-trait Drivable<E>:
-    Engine<(u64, u64), Output = E, Error = EngineError, Report = QueryReport> + SpaceUsage
-{
-    /// Handle onto the read plane, when one was configured.
-    fn handle(&self) -> Option<ReadHandle<E>>;
-    /// Forces a publish at the current offset; `None` when there is no
-    /// plane (or, supervised, when a shard is terminal — a published
-    /// view is never degraded).
-    fn force_publish(&mut self) -> Option<u64>;
-}
-
-impl<E> Drivable<E> for ShardedEngine<E, (u64, u64)>
-where
-    E: BatchIngest<(u64, u64)> + Mergeable + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
-{
-    fn handle(&self) -> Option<ReadHandle<E>> {
-        self.read_handle()
-    }
-    fn force_publish(&mut self) -> Option<u64> {
-        self.publish_now()
-    }
-}
-
-impl<E> Drivable<E> for SupervisedEngine<E, (u64, u64)>
-where
-    E: BatchIngest<(u64, u64)>
-        + Mergeable
-        + Estimate
-        + SpaceUsage
-        + Snapshot
-        + Clone
-        + Send
-        + Sync
-        + 'static,
-{
-    fn handle(&self) -> Option<ReadHandle<E>> {
-        self.read_handle()
-    }
-    fn force_publish(&mut self) -> Option<u64> {
-        self.publish_now()
-    }
-}
-
-/// The one driver both policies share: ingest the whole stream, answer
-/// (from the read plane's final published view when one exists and
-/// `fresh` is off, from a synchronous merge otherwise), then retire
-/// the engine through the lossy path so dead shards are reported, not
-/// fatal.
-fn drive<N, E>(
-    mut engine: N,
+/// Ingests the whole stream, answers (from the read plane's final
+/// published view when one exists and `fresh` is off, from a
+/// synchronous merge otherwise), then retires the engine through the
+/// lossy path so dead shards are reported, not fatal. Returns the final
+/// merged estimator alongside the outcome.
+fn drive<E>(
+    mut engine: ShardedEngine<E, (u64, u64)>,
     updates: &[(u64, u64)],
     contract: Option<Guarantee>,
     fresh: bool,
 ) -> Result<(E, Outcome), String>
 where
-    N: Drivable<E>,
-    E: Estimate + SpaceUsage + Snapshot,
+    E: BatchIngest<(u64, u64)>
+        + Mergeable
+        + Estimate
+        + SpaceUsage
+        + Snapshot
+        + Clone
+        + Send
+        + Sync
+        + 'static,
 {
     let start = Instant::now();
     engine.ingest_batch(updates);
@@ -308,7 +234,7 @@ where
     // synchronous merge — same bits, just not exercising the plane.
     let mut plane_answer = None;
     if !fresh {
-        if let (Some(handle), Some(epoch)) = (engine.handle(), engine.force_publish()) {
+        if let (Some(handle), Some(epoch)) = (engine.read_handle(), engine.publish_now()) {
             if handle.wait_for_epoch(epoch, PUBLISH_WAIT_MS) {
                 if let (Some(view), Some(report)) = (handle.query(), handle.report(contract)) {
                     plane_answer = Some((report, view.estimator().frame_digest()));

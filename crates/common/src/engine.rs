@@ -1,19 +1,18 @@
-//! The unified engine abstraction every ingestion pipeline implements.
+//! The engine abstraction: the verb set of a sharded ingestion
+//! pipeline.
 //!
-//! The workspace grows its engines as *policy layers* over one shared
-//! shard runtime (see `hindex-engine`): the plain [`ShardedEngine`]
-//! fails hard on worker death, the [`SupervisedEngine`] heals through
-//! it. Both speak the same verb set, captured here as the [`Engine`]
-//! trait so drivers (CLI, benches, tests) can be written once and
-//! handed either policy.
+//! `hindex-engine` has one engine type, `ShardedEngine`, whose
+//! behaviour on worker death is a supervision policy chosen at
+//! construction (fail hard, or heal from micro-checkpoints). The
+//! [`Engine`] trait names its verb set so code that must stay generic
+//! over the engine (the end-to-end benchmark, generic test helpers)
+//! can be written against it; `ShardedEngine` is its one
+//! implementation.
 //!
 //! The trait lives in `hindex-common` — below the engine crate — so it
 //! can be named by any crate without a dependency on the engine
 //! implementation. Engine-specific vocabulary (errors, checkpoints,
 //! reports) enters through associated types.
-//!
-//! [`ShardedEngine`]: ../hindex_engine/struct.ShardedEngine.html
-//! [`SupervisedEngine`]: ../hindex_engine/struct.SupervisedEngine.html
 
 use crate::approx::Guarantee;
 
@@ -29,7 +28,8 @@ pub struct Degraded<E> {
 
 /// The whole verb set of a sharded ingestion engine over items of type
 /// `T`: feed, flush, query (strict, lossy, or reported), persist, and
-/// retire. Implemented by both engine policies in `hindex-engine`.
+/// retire. Implemented by `hindex-engine`'s `ShardedEngine`, under
+/// either supervision policy.
 ///
 /// Semantics every implementation must honour:
 ///

@@ -177,7 +177,7 @@ impl EngineConfigBuilder {
     }
 }
 
-/// Knobs of the self-healing layer (see [`crate::SupervisedEngine`]).
+/// Knobs of the self-healing policy (see [`crate::Supervision::Restart`]).
 ///
 /// The defaults favour cheap steady-state operation: a micro-checkpoint
 /// every 4 batches, a 1 Mi-word replay budget per shard, 4 restarts per

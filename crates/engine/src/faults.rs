@@ -2,10 +2,11 @@
 //!
 //! A [`FaultPlan`] is a finite, ordered set of faults — kill a shard's
 //! worker at a stream tick, fail the next *k* sends to a shard, stall
-//! a worker, corrupt a micro-checkpoint frame — that the
-//! [`SupervisedEngine`](crate::SupervisedEngine) checks at every batch
-//! dispatch. Fault *decisions* are pure functions of the plan and the
-//! engine's logical tick, so a seeded chaos run is replayable: the
+//! a worker, corrupt a micro-checkpoint frame — that an engine under
+//! [`Supervision::Restart`](crate::Supervision::Restart) checks at
+//! every batch dispatch. Fault *decisions* are pure functions of the
+//! plan and the engine's logical tick, so a seeded chaos run is
+//! replayable: the
 //! same plan against the same stream injects the same faults at the
 //! same points and (within replay-log bounds) recovers to the same
 //! bits. Every injection is traced (`FaultInjected`) and counted.

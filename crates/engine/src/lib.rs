@@ -6,10 +6,10 @@
 //! ingestion pipeline, structured as explicit layers:
 //!
 //! ```text
-//!   routing layer   router.rs   item→shard assignment, batching, tick
-//!   runtime core    runtime.rs  the one worker loop + lifecycle
-//!   policy layers   lib.rs      ShardedEngine   (fail-hard)
-//!                   supervisor.rs SupervisedEngine (self-healing)
+//!   routing layer   router.rs     item→shard assignment, batching, tick
+//!   runtime core    runtime.rs    the one worker loop + lifecycle
+//!   engine          lib.rs        ShardedEngine: every verb, once
+//!   recovery        supervisor.rs frames, replay, heal, faults
 //!   read plane      read_plane.rs epoch-published views, ReadHandle
 //! ```
 //!
@@ -42,11 +42,14 @@
 //!   into one estimator without stopping ingestion.
 //!   [`ShardedEngine::finish`] retires the workers and returns the
 //!   final merged estimator.
-//! * Both engines — the fail-hard [`ShardedEngine`] and the
-//!   self-healing [`SupervisedEngine`] — are thin policy layers over
-//!   the same runtime core (one worker loop, one command set, one
-//!   router) and implement the same
-//!   [`Engine`] trait, so drivers are written once and handed either.
+//! * There is **one engine type**. What happens when a worker dies is
+//!   a [`Supervision`] value chosen at construction:
+//!   [`Supervision::FailHard`] ([`ShardedEngine::new`]) loses the
+//!   shard, [`Supervision::Restart`]
+//!   ([`ShardedEngine::with_policy`]) heals it. Every verb is written
+//!   once; the policy only decides what a shard's death leads to. The
+//!   [`Engine`] trait names the verb set for code that must stay
+//!   generic over it.
 //!
 //! Estimators plug in through [`BatchIngest`], which is implemented
 //! automatically for every
@@ -96,11 +99,12 @@
 //!    atomic over `Arc`-swapped immutable views), queries clone a
 //!    snapshot rather than lock, and `#![forbid(unsafe_code)]` (lint
 //!    L4) rules out hand-rolled sharing. A worker that panics poisons
-//!    nothing: the engine marks the shard dead, harvests the panic
-//!    payload, and `finish`/`query` return [`EngineError::ShardDead`]
-//!    carrying it — the shard's updates are lost, so no exact answer
-//!    exists. Callers that prefer a lossy answer over none opt in
-//!    explicitly via [`ShardedEngine::query_degraded`] /
+//!    nothing: under [`Supervision::FailHard`] the engine marks the
+//!    shard dead, harvests the panic payload, and `finish`/`query`
+//!    return [`EngineError::ShardDead`] carrying it — the shard's
+//!    updates are lost, so no exact answer exists. Callers that prefer
+//!    a lossy answer over none opt in explicitly via
+//!    [`ShardedEngine::query_degraded`] /
 //!    [`ShardedEngine::finish_degraded`], which merge the surviving
 //!    shards and report which ones are missing.
 //!
@@ -109,26 +113,26 @@
 //! [`ShardedEngine::checkpoint`] flushes, snapshots every shard, and
 //! packages the states with the engine geometry and the stream offset
 //! (items routed so far) into an [`EngineCheckpoint`] — a
-//! [`Snapshot`](hindex_common::Snapshot)-serialisable value when the
-//! estimator is. [`ShardedEngine::restore`] validates the checkpoint
-//! and respawns the workers from those states; replaying the stream
-//! from [`EngineCheckpoint::stream_offset`] then reproduces the
-//! never-killed run bit for bit (routing is a pure function of
-//! `(item, tick)` and the tick is part of the checkpoint).
+//! [`Snapshot`]-serialisable value when the estimator is.
+//! [`ShardedEngine::restore`] validates the checkpoint and respawns the
+//! workers from those states; replaying the stream from
+//! [`EngineCheckpoint::stream_offset`] then reproduces the never-killed
+//! run bit for bit (routing is a pure function of `(item, tick)` and
+//! the tick is part of the checkpoint).
 //!
 //! # Self-healing
 //!
-//! [`SupervisedEngine`] runs the same workers under a supervisor that
-//! takes per-shard micro-checkpoints every
+//! Under [`Supervision::Restart`] each shard carries a recovery
+//! record: per-shard micro-checkpoints every
 //! [`SupervisorConfig::checkpoint_interval`] batches (encoded on the
-//! worker thread, so the router never stalls), keeps a bounded replay
-//! log of batches since each shard's last micro-checkpoint, and on
-//! worker death respawns the shard from its checkpoint and replays the
-//! log — bit-identical to an uninterrupted run. A deterministic,
-//! seeded [`FaultPlan`] injects worker kills, send failures, stalls,
-//! and checkpoint corruption for chaos testing (`hindex engine
-//! --faults`). See `docs/RECOVERY.md` for the supervision state
-//! machine and the degradation ladder.
+//! worker thread, so the router never stalls), a bounded replay log of
+//! batches since the shard's last micro-checkpoint, and restart and
+//! fault state. On worker death the engine respawns the shard from its
+//! checkpoint and replays the log — bit-identical to an uninterrupted
+//! run. A deterministic, seeded [`FaultPlan`] injects worker kills,
+//! send failures, stalls, and checkpoint corruption for chaos testing
+//! (`hindex engine --faults`). See `docs/RECOVERY.md` for the
+//! supervision state machine and the degradation ladder.
 //!
 //! # Observability
 //!
@@ -170,18 +174,20 @@ pub use faults::{FaultKind, FaultPlan};
 pub use hindex_common::{Degraded, Engine};
 pub use read_plane::{ReadHandle, ReadView};
 pub use router::{mix64, Routable};
-pub use supervisor::SupervisedEngine;
+pub use supervisor::{SupervisedEngine, Supervision};
 
 use error::panic_message;
 use hindex_common::{
     AggregateEstimator, BankCounters, CashRegisterEstimator, Estimate, Guarantee, Mergeable,
-    SpaceUsage, TurnstileEstimator,
+    Snapshot, SpaceUsage, TurnstileEstimator,
 };
 use hindex_obs::Stopwatch;
 use read_plane::ReadPlane;
 use router::Router;
-use runtime::{merge_all, spawn_worker, Command, WorkerCtx};
-use std::sync::mpsc::SyncSender;
+use runtime::{merge_all, spawn_worker, Command, Lineage, WorkerCtx};
+use std::sync::mpsc::{Receiver, SyncSender};
+use std::thread::JoinHandle;
+use supervisor::{Frame, Recovery, Supervisor};
 
 /// Batched ingestion of stream items of type `T`.
 ///
@@ -224,10 +230,9 @@ impl<E: TurnstileEstimator> BatchIngest<(u64, i64)> for E {
 }
 
 /// A multi-threaded sharded ingestion pipeline around a [`Mergeable`]
-/// estimator — the *fail-hard* policy over the shared shard runtime:
-/// a dead worker makes strict queries refuse until the caller opts
-/// into degradation. (The self-healing policy is [`SupervisedEngine`];
-/// both implement [`Engine`].)
+/// estimator. What a worker's death leads to is the [`Supervision`]
+/// policy it was built with: [`ShardedEngine::new`] fails hard,
+/// [`ShardedEngine::with_policy`] takes either policy.
 ///
 /// ```
 /// use hindex_common::{CashRegisterEstimator, Estimate, SpaceUsage};
@@ -252,28 +257,54 @@ impl<E: TurnstileEstimator> BatchIngest<(u64, i64)> for E {
 /// reader threads for lock-free concurrent queries.
 pub struct ShardedEngine<E, T> {
     config: EngineConfig,
-    /// Routing + batching + stream offset (shared with the supervisor).
+    /// Routing + batching + stream offset.
     router: Router<T>,
-    senders: Vec<SyncSender<Command<E, T>>>,
-    handles: Vec<Option<std::thread::JoinHandle<E>>>,
-    /// Shards whose worker has died (send or join failed); their
-    /// updates are lost and strict queries refuse to answer.
-    dead: Vec<bool>,
-    /// Panic payload harvested from each dead shard's worker, when one
-    /// was recoverable.
-    dead_reason: Vec<Option<String>>,
+    shards: Vec<Shard<E, T>>,
+    /// Engine-wide supervision state; `None` = [`Supervision::FailHard`].
+    supervisor: Option<Supervisor<E>>,
     /// The read plane, when `publish_interval` is configured. Dropped
     /// after the workers are joined (see `Drop`), which is what lets
     /// the aggregator drain and exit.
     plane: Option<ReadPlane<E>>,
 }
 
+/// One shard: its current worker lineage and its fate.
+struct Shard<E, T> {
+    /// The live lineage's command channel; `None` while the lineage is
+    /// down, retired, or the shard is dead.
+    sender: Option<SyncSender<Command<E, T>>>,
+    handle: Option<JoinHandle<E>>,
+    /// Worker deaths harvested so far (panics, not clean retirements).
+    deaths: u64,
+    /// The most recent harvested panic payload.
+    panic: Option<String>,
+    /// Whether the shard is gone for good: its updates are lost and
+    /// strict verbs refuse to answer.
+    dead: bool,
+    /// What strict verbs report for a dead shard, when it is known.
+    reason: Option<String>,
+    /// Micro-checkpoints, replay log, and restart/fault state; `None`
+    /// under [`Supervision::FailHard`].
+    recovery: Option<Recovery<T>>,
+}
+
+/// Indices of the shards a snapshot round or retirement got no state
+/// from.
+fn missing<E>(states: &[Option<E>]) -> Vec<usize> {
+    states
+        .iter()
+        .enumerate()
+        .filter_map(|(i, s)| s.is_none().then_some(i))
+        .collect()
+}
+
 impl<E, T> ShardedEngine<E, T>
 where
     E: BatchIngest<T> + Mergeable + Clone + Send + Sync + 'static,
-    T: Routable + Send + 'static,
+    T: Routable + Clone + Send + 'static,
 {
-    /// Spawns the worker shards, each owning a clone of `prototype`.
+    /// Spawns a [`Supervision::FailHard`] engine: worker shards each
+    /// owning a clone of `prototype`.
     ///
     /// The prototype carries the randomness every shard shares — build
     /// it once from a seeded RNG (e.g. via
@@ -286,35 +317,64 @@ where
     #[must_use]
     pub fn new(config: EngineConfig, prototype: E) -> Self {
         let states = (0..config.shards.max(1)).map(|_| prototype.clone()).collect();
-        Self::spawn(config, states, 0)
+        Self::spawn(config, None, states, 0)
     }
 
-    /// Respawns an engine from a [`ShardedEngine::checkpoint`]: one
-    /// worker per checkpointed shard state, with the stream offset
-    /// restored, so replaying the input from
-    /// [`EngineCheckpoint::stream_offset`] continues the original run
-    /// bit for bit.
+    /// Spawns an engine under the given [`Supervision`] policy. The
+    /// `Snapshot` bound is what [`Supervision::Restart`] encodes its
+    /// micro-checkpoints with.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::InvalidConfig`] when the engine config or the
+    /// policy's [`SupervisorConfig`] fails validation (this
+    /// constructor never panics on geometry).
+    pub fn with_policy(
+        config: EngineConfig,
+        supervision: Supervision,
+        prototype: E,
+    ) -> Result<Self, EngineError>
+    where
+        E: Snapshot,
+    {
+        config.validate()?;
+        let supervisor = supervision.supervisor()?;
+        let states = (0..config.shards).map(|_| prototype.clone()).collect();
+        Ok(Self::spawn(config, supervisor, states, 0))
+    }
+
+    /// Respawns a [`Supervision::FailHard`] engine from a
+    /// [`ShardedEngine::checkpoint`]: one worker per checkpointed shard
+    /// state, with the stream offset restored, so replaying the input
+    /// from [`EngineCheckpoint::stream_offset`] continues the original
+    /// run bit for bit.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::InvalidConfig`] when the checkpoint's
     /// geometry is hostile (zero fields, a shard-state count that
     /// disagrees with it) or a re-attached observer is sized for a
-    /// different shard count. Validation happens *before* any thread
-    /// is spawned, so a checkpoint from untrusted bytes can never
-    /// panic the engine.
+    /// different shard count. That validation happens before any
+    /// thread is spawned. It does not compare the shard states'
+    /// estimator parameters: states built under different parameters
+    /// still panic at the first merge (a query, publish, or `finish`).
     pub fn restore(checkpoint: EngineCheckpoint<E>) -> Result<Self, EngineError> {
         let sw = Stopwatch::start();
         checkpoint.validate()?;
         let shard_states = checkpoint.shards.len() as u64;
-        let engine = Self::spawn(checkpoint.config, checkpoint.shards, checkpoint.tick);
+        let engine = Self::spawn(checkpoint.config, None, checkpoint.shards, checkpoint.tick);
         if let Some(o) = &engine.config.observer {
             o.on_restore(engine.router.tick(), shard_states, sw.elapsed_nanos());
         }
         Ok(engine)
     }
 
-    fn spawn(config: EngineConfig, states: Vec<E>, tick: u64) -> Self {
+    fn spawn(
+        config: EngineConfig,
+        supervisor: Option<Supervisor<E>>,
+        states: Vec<E>,
+        tick: u64,
+    ) -> Self {
         assert!(config.shards >= 1, "need at least one shard");
         assert!(config.batch_size >= 1, "batch_size must be positive");
         assert!(config.queue_depth >= 1, "queue_depth must be positive");
@@ -322,26 +382,54 @@ where
         let plane = config
             .publish_interval
             .map(|interval| ReadPlane::new(config.shards, interval, config.observer.clone()));
-        let mut senders = Vec::with_capacity(config.shards);
-        let mut handles = Vec::with_capacity(config.shards);
-        for (shard, estimator) in states.into_iter().enumerate() {
-            let ctx = WorkerCtx {
-                views: plane.as_ref().and_then(ReadPlane::view_sender),
-                ..WorkerCtx::plain(shard)
-            };
-            let lineage = spawn_worker(config.queue_depth, estimator, 0, ctx);
-            senders.push(lineage.sender);
-            handles.push(Some(lineage.handle));
-        }
-        Self {
-            dead: vec![false; config.shards],
-            dead_reason: vec![None; config.shards],
+        let mut engine = Self {
             router: Router::new(config.shards, config.batch_size, tick),
-            config,
-            senders,
-            handles,
+            shards: Vec::with_capacity(config.shards),
+            supervisor,
             plane,
+            config,
+        };
+        for (shard, state) in states.into_iter().enumerate() {
+            let (lineage, frames) = engine.spawn_lineage(shard, state, 0);
+            let recovery = frames.zip(engine.supervisor.as_ref()).map(|(frames, sup)| {
+                Recovery::new(frames, sup.config.max_replay_words)
+            });
+            engine.shards.push(Shard {
+                sender: Some(lineage.sender),
+                handle: Some(lineage.handle),
+                deaths: 0,
+                panic: None,
+                dead: false,
+                reason: None,
+                recovery,
+            });
         }
+        engine
+    }
+
+    /// Spawns one worker lineage for `shard` on the shared runtime,
+    /// `base` batches into its stream. Under [`Supervision::Restart`]
+    /// the lineage also emits micro-checkpoint frames, returned here as
+    /// the channel to drain.
+    fn spawn_lineage(
+        &self,
+        shard: usize,
+        state: E,
+        base: u64,
+    ) -> (Lineage<E, T>, Option<Receiver<Frame>>) {
+        let (on_applied, frames) = match &self.supervisor {
+            Some(sup) => {
+                let (hook, frames) = sup.frame_hook(base);
+                (Some(hook), Some(frames))
+            }
+            None => (None, None),
+        };
+        let ctx = WorkerCtx {
+            shard,
+            on_applied,
+            views: self.plane.as_ref().and_then(ReadPlane::view_sender),
+        };
+        (spawn_worker(self.config.queue_depth, state, base, ctx), frames)
     }
 
     /// The configuration in effect.
@@ -356,7 +444,7 @@ where
     /// due.
     pub fn ingest(&mut self, item: T) {
         if let Some((shard, batch)) = self.router.push(item) {
-            self.send(shard, batch);
+            self.dispatch(shard, batch);
         }
         if self.plane.as_ref().is_some_and(|p| p.due(self.router.tick())) {
             let _ = self.publish_now();
@@ -377,14 +465,19 @@ where
         }
     }
 
-    /// Sends all pending partial batches to their shards.
+    /// Sends all pending partial batches to their shards. Under
+    /// [`Supervision::Restart`] it also fires due faults on shards with
+    /// nothing pending, so a planned kill fires even on a shard that
+    /// gets no further traffic.
     pub fn flush(&mut self) {
         for shard in 0..self.config.shards {
             if let Some(o) = &self.config.observer {
                 o.on_queue_depth(shard, self.router.pending(shard) as u64);
             }
-            if let Some(batch) = self.router.take(shard) {
-                self.send(shard, batch);
+            match self.router.take(shard) {
+                Some(batch) => self.dispatch(shard, batch),
+                None if !self.shards[shard].dead => self.apply_faults(shard),
+                None => {}
             }
         }
         if let Some(plane) = &self.plane {
@@ -407,17 +500,33 @@ where
     /// [`ReadHandle::wait_for_epoch`] when the completed view is
     /// needed. Flushes first, so the published view covers exactly
     /// [`Self::stream_offset`] items.
+    ///
+    /// Under [`Supervision::Restart`] down lineages are healed first,
+    /// and the publish is skipped (`None`) while any shard is terminal:
+    /// a supervised engine never publishes a degraded view.
     pub fn publish_now(&mut self) -> Option<u64> {
         self.plane.as_ref()?;
         self.flush();
+        if self.supervisor.is_some() {
+            for shard in 0..self.config.shards {
+                self.ensure_live(shard);
+            }
+            if self.shards.iter().any(|s| s.dead) {
+                return None;
+            }
+        }
         let offset = self.router.tick();
         let epoch = self.plane.as_mut()?.begin_epoch(offset);
         for shard in 0..self.config.shards {
-            if self.dead[shard] {
-                continue; // incomplete epoch: never published
-            }
-            if self.senders[shard].send(Command::Publish { epoch, offset }).is_err() {
-                self.mark_dead(shard);
+            // Dead shards have no sender: an incomplete epoch is never
+            // published.
+            let Some(tx) = &self.shards[shard].sender else { continue };
+            // A failed send means the worker died holding the marker:
+            // the epoch stays incomplete and the aggregator discards
+            // it. Fail-hard loses the shard here; a supervised engine
+            // heals it at the next dispatch.
+            if tx.send(Command::Publish { epoch, offset }).is_err() && self.supervisor.is_none() {
+                self.lose_worker(shard);
             }
         }
         Some(epoch)
@@ -426,15 +535,13 @@ where
     /// Anytime query: flushes, snapshots every shard *in place* (the
     /// workers keep running), and merges the snapshots into a single
     /// estimator equivalent to one that ingested everything pushed so
-    /// far. Returns [`EngineError::ShardDead`] if any worker has died —
-    /// an exact answer no longer exists; see
+    /// far. Returns [`EngineError::ShardDead`] if any shard's updates
+    /// are lost — an exact answer no longer exists; see
     /// [`Self::query_degraded`] for the explicit lossy alternative.
     pub fn query(&mut self) -> Result<E, EngineError> {
         self.flush();
         let states = self.snapshot_states();
-        if let Some(err) = self.first_dead_error() {
-            return Err(err);
-        }
+        self.strict(&states)?;
         if let Some(o) = &self.config.observer {
             o.on_merge(self.router.tick(), self.config.shards as u64);
         }
@@ -456,12 +563,16 @@ where
         }
     }
 
-    /// Lossy anytime query: merges whatever shards still live and
-    /// reports the dead ones. Only errs when *no* shard survives.
+    /// Lossy anytime query: merges whatever shards still answer and
+    /// reports the missing ones. Only errs when *no* shard survives.
     pub fn query_degraded(&mut self) -> Result<Degraded<E>, EngineError> {
         self.flush();
         let states = self.snapshot_states();
-        let dead_shards = self.dead_shard_indices();
+        self.merge_degraded(states)
+    }
+
+    fn merge_degraded(&mut self, states: Vec<Option<E>>) -> Result<Degraded<E>, EngineError> {
+        let dead_shards = missing(&states);
         if let Some(o) = &self.config.observer {
             let live = self.config.shards - dead_shards.len();
             o.on_merge(self.router.tick(), live as u64);
@@ -469,13 +580,9 @@ where
                 o.on_query_degraded(self.router.tick(), dead_shards.len() as u64);
             }
         }
-        match merge_all(states) {
-            Some(estimator) => {
-                self.observe_bank(&estimator);
-                Ok(Degraded { estimator, dead_shards })
-            }
-            None => Err(EngineError::AllShardsDead),
-        }
+        let estimator = merge_all(states).ok_or(EngineError::AllShardsDead)?;
+        self.observe_bank(&estimator);
+        Ok(Degraded { estimator, dead_shards })
     }
 
     /// Lossy anytime query packaged as a typed [`QueryReport`]:
@@ -483,15 +590,18 @@ where
     /// is attached) a metrics snapshot — the one value reporting
     /// boundaries should hand on. `contract` is the guarantee the
     /// prototype estimator was built under; pass `None` for exact
-    /// baselines. Always a *fresh* synchronous merge; for the
+    /// baselines. One snapshot round serves both the merge and the
+    /// space figure. Always a *fresh* synchronous merge; for the
     /// published-view flavour (with epoch and staleness filled in) see
     /// [`ReadHandle::report`].
     pub fn report(&mut self, contract: Option<Guarantee>) -> Result<QueryReport, EngineError>
     where
         E: Estimate + SpaceUsage,
     {
-        let degraded = self.query_degraded()?;
-        let space_words = self.space_words();
+        self.flush();
+        let states = self.snapshot_states();
+        let space_words = self.space_of(&states);
+        let degraded = self.merge_degraded(states)?;
         Ok(QueryReport {
             estimate: degraded.estimator.estimate(),
             approx_contract: contract,
@@ -507,16 +617,15 @@ where
     /// and returns the per-shard states together with the geometry and
     /// the stream offset. Strict like [`Self::query`] — a checkpoint
     /// taken after a shard died would silently drop that shard's
-    /// history on restore.
+    /// history on restore. Supervision state (replay logs, restart
+    /// budgets) is transient and not persisted, so a checkpoint of
+    /// either policy restores through [`Self::restore`].
     pub fn checkpoint(&mut self) -> Result<EngineCheckpoint<E>, EngineError> {
         let sw = Stopwatch::start();
         self.flush();
         let states = self.snapshot_states();
-        if let Some(err) = self.first_dead_error() {
-            return Err(err);
-        }
+        self.strict(&states)?;
         let shards: Vec<E> = states.into_iter().flatten().collect();
-        debug_assert_eq!(shards.len(), self.config.shards);
         if let Some(o) = &self.config.observer {
             o.on_checkpoint(self.router.tick(), shards.len() as u64, sw.elapsed_nanos());
         }
@@ -536,12 +645,11 @@ where
 
     /// Retires the engine: flushes, joins all workers, and returns the
     /// merged final estimator. Returns [`EngineError::ShardDead`] if
-    /// any worker died along the way (see [`Self::finish_degraded`]).
+    /// any shard's updates were lost along the way (see
+    /// [`Self::finish_degraded`]).
     pub fn finish(mut self) -> Result<E, EngineError> {
         let states = self.join_workers();
-        if let Some(err) = self.first_dead_error() {
-            return Err(err);
-        }
+        self.strict(&states)?;
         merge_all(states).ok_or(EngineError::AllShardsDead)
     }
 
@@ -549,37 +657,55 @@ where
     /// the dead ones. Only errs when no shard survives.
     pub fn finish_degraded(mut self) -> Result<Degraded<E>, EngineError> {
         let states = self.join_workers();
-        let dead_shards = self.dead_shard_indices();
-        match merge_all(states) {
-            Some(estimator) => Ok(Degraded { estimator, dead_shards }),
-            None => Err(EngineError::AllShardsDead),
-        }
+        let dead_shards = missing(&states);
+        let estimator = merge_all(states).ok_or(EngineError::AllShardsDead)?;
+        Ok(Degraded { estimator, dead_shards })
     }
 
-    /// Flushes, closes the channels, and joins every worker, marking
-    /// panicked ones dead and harvesting their panic payloads. Shard
-    /// order is preserved (`None` = dead).
+    /// Flushes, heals what can be healed, closes every channel (so the
+    /// workers drain their queues concurrently), and joins the workers
+    /// in shard order (`None` = dead).
     fn join_workers(&mut self) -> Vec<Option<E>> {
         self.flush();
-        self.senders.clear(); // workers see channel close and return
-        let mut states = Vec::with_capacity(self.handles.len());
-        for shard in 0..self.handles.len() {
-            let state = match self.handles[shard].take() {
-                Some(handle) => match handle.join() {
-                    Ok(state) => Some(state),
-                    Err(payload) => {
-                        self.note_panicked(shard, panic_message(payload.as_ref()));
-                        None
-                    }
-                },
-                None => None, // already joined when the death was detected
-            };
-            if state.is_none() {
-                self.dead[shard] = true;
-            }
-            states.push(state);
+        for shard in 0..self.config.shards {
+            self.ensure_live(shard);
         }
-        states
+        for s in &mut self.shards {
+            s.sender = None;
+        }
+        (0..self.config.shards).map(|shard| self.final_state(shard)).collect()
+    }
+
+    /// Joins `shard`'s retiring worker for its final state. A worker
+    /// that dies on its last batches is healed and retired again under
+    /// [`Supervision::Restart`] (until the budget gives out); under
+    /// fail-hard the shard is lost.
+    fn final_state(&mut self, shard: usize) -> Option<E> {
+        debug_assert!(shard < self.shards.len(), "shard index within the geometry");
+        loop {
+            if self.shards[shard].dead {
+                return None;
+            }
+            let s = &mut self.shards[shard];
+            s.sender = None; // a healed lineage retires too
+            let Some(handle) = s.handle.take() else {
+                self.terminal(shard, "worker lineage unavailable at finish");
+                return None;
+            };
+            match handle.join() {
+                Ok(state) => {
+                    self.drain_frames(shard); // final frame accounting
+                    return Some(state);
+                }
+                Err(payload) => {
+                    self.note_panic(shard, panic_message(payload.as_ref()));
+                    self.drain_frames(shard);
+                    if !self.recover(shard) {
+                        return None;
+                    }
+                }
+            }
+        }
     }
 
     /// Items buffered locally, not yet handed to any worker.
@@ -588,138 +714,203 @@ where
         self.router.buffered_items()
     }
 
-    /// Indices of shards whose workers have died.
+    /// Indices of shards whose updates are lost for good.
     #[must_use]
     pub fn dead_shard_indices(&self) -> Vec<usize> {
-        self.dead
+        self.shards
             .iter()
             .enumerate()
-            .filter_map(|(i, &d)| d.then_some(i))
+            .filter_map(|(i, s)| s.dead.then_some(i))
             .collect()
     }
 
-    /// The first dead shard as a reason-carrying error, if any worker
-    /// has died.
-    fn first_dead_error(&self) -> Option<EngineError> {
-        self.dead.iter().position(|&d| d).map(|shard| EngineError::ShardDead {
-            shard,
-            reason: self.dead_reason.get(shard).cloned().flatten(),
-        })
-    }
-
-    /// Marks `shard` dead and eagerly joins its worker to harvest the
-    /// panic payload. Safe to call only once a send or receive on the
-    /// shard's channels has failed — that proves the worker thread has
-    /// already exited, so the join cannot block.
-    fn mark_dead(&mut self, shard: usize) {
-        debug_assert!(shard < self.dead.len(), "shard index computed by the router");
-        if self.dead[shard] {
-            return;
+    /// The strict verbs' gate: the first dead shard as a
+    /// reason-carrying error, or the first shard the round got no state
+    /// from.
+    fn strict(&self, states: &[Option<E>]) -> Result<(), EngineError> {
+        if let Some(shard) = self.shards.iter().position(|s| s.dead) {
+            let reason = self.shards.get(shard).and_then(|s| s.reason.clone());
+            return Err(EngineError::ShardDead { shard, reason });
         }
-        self.dead[shard] = true;
-        if let Some(handle) = self.handles[shard].take() {
-            match handle.join() {
-                // A worker only returns its state when its channel
-                // closes, which cannot happen while we hold the sender;
-                // treat a clean exit as a death with no diagnosis.
-                Ok(_state) => {}
-                Err(payload) => {
-                    let reason = panic_message(payload.as_ref());
-                    self.note_panicked(shard, reason);
-                }
-            }
+        match states.iter().position(Option::is_none) {
+            Some(shard) => Err(EngineError::shard_dead(shard)),
+            None => Ok(()),
         }
     }
 
     /// Records a harvested panic payload and traces the death.
-    fn note_panicked(&mut self, shard: usize, reason: String) {
-        debug_assert!(shard < self.dead.len(), "shard index computed by the router");
-        self.dead[shard] = true;
+    fn note_panic(&mut self, shard: usize, reason: String) {
+        debug_assert!(shard < self.shards.len(), "shard index within the geometry");
+        let s = &mut self.shards[shard];
+        s.deaths += 1;
+        s.panic = Some(reason);
         if let Some(o) = &self.config.observer {
-            o.on_shard_panicked(self.router.tick(), shard, 1);
+            o.on_shard_panicked(self.router.tick(), shard, s.deaths);
         }
-        if self.dead_reason[shard].is_none() {
-            self.dead_reason[shard] = Some(reason);
+    }
+
+    /// Closes `shard`'s channel and joins its worker, harvesting the
+    /// panic payload, then drains the frames it emitted. Call only once
+    /// a send or receive on the channel has failed (or a poison or
+    /// retirement was queued): the worker has exited or is about to,
+    /// so the join cannot block.
+    fn join_lineage(&mut self, shard: usize) {
+        debug_assert!(shard < self.shards.len(), "shard index within the geometry");
+        let s = &mut self.shards[shard];
+        s.sender = None;
+        if let Some(handle) = s.handle.take() {
+            // A clean exit (an injected send failure retires the
+            // lineage) leaves nothing to harvest; the frames and the
+            // log carry its history.
+            if let Err(payload) = handle.join() {
+                self.note_panic(shard, panic_message(payload.as_ref()));
+            }
         }
+        self.drain_frames(shard);
+    }
+
+    /// What a harvested death leads to: a heal under
+    /// [`Supervision::Restart`] (`true` once live again), and under
+    /// fail-hard straight to terminal with the harvested panic message
+    /// as the reason.
+    fn recover(&mut self, shard: usize) -> bool {
+        debug_assert!(shard < self.shards.len(), "shard index within the geometry");
+        if self.supervisor.is_some() {
+            return self.heal(shard);
+        }
+        let s = &mut self.shards[shard];
+        s.dead = true;
+        s.reason = s.panic.clone();
+        false
+    }
+
+    /// A send or receive on `shard`'s channel failed, so its worker has
+    /// exited: harvest it and [`Self::recover`].
+    fn lose_worker(&mut self, shard: usize) -> bool {
+        self.join_lineage(shard);
+        self.recover(shard)
     }
 
     /// Hands a batch to a worker. The flush is recorded **only after**
     /// the handoff succeeds — a batch dropped on a dead shard fires
     /// `on_batch_lost` instead, so flushed-item telemetry never counts
     /// updates that no estimator ingested.
-    fn send(&mut self, shard: usize, batch: Vec<T>) {
+    fn dispatch(&mut self, shard: usize, batch: Vec<T>) {
         // Callers pass either a loop index over `0..config.shards` or
         // a `route(shards, …)` result; both are < shards by contract.
-        debug_assert!(shard < self.dead.len() && shard < self.senders.len());
+        debug_assert!(shard < self.shards.len(), "shard index computed by the router");
         let len = batch.len() as u64;
         let full = batch.len() >= self.config.batch_size;
-        if self.dead[shard] {
+        if self.shards[shard].dead {
             if let Some(o) = &self.config.observer {
                 o.on_batch_lost(self.router.tick(), shard, len);
             }
             return;
         }
-        if self.senders[shard].send(Command::Batch(batch)).is_err() {
-            self.mark_dead(shard);
+        let Some(batch) = self.log_batch(shard, batch) else { return };
+        let sent = self.shards[shard]
+            .sender
+            .as_ref()
+            .is_some_and(|tx| tx.send(Command::Batch(batch)).is_ok());
+        if sent {
+            self.mark_delivered(shard);
+            if let Some(o) = &self.config.observer {
+                o.on_flush(self.router.tick(), shard, len, full);
+            }
+            if let Some(plane) = &self.plane {
+                plane.note_offset(self.router.tick());
+            }
+        } else if !self.lose_worker(shard) && self.supervisor.is_none() {
+            // Fail-hard: the batch is lost with its shard. (Supervised,
+            // the heal's replay redelivered this logged batch, or the
+            // terminal rung counted it lost.)
             if let Some(o) = &self.config.observer {
                 o.on_batch_lost(self.router.tick(), shard, len);
             }
-            return;
-        }
-        if let Some(o) = &self.config.observer {
-            o.on_flush(self.router.tick(), shard, len, full);
-        }
-        if let Some(plane) = &self.plane {
-            plane.note_offset(self.router.tick());
         }
     }
 
-    /// Requests an in-place snapshot from every live worker and collects
-    /// the replies in shard order (`None` = dead shard). Snapshot
-    /// requests are *pipelined*: all requests go out before any reply
-    /// is awaited, so the shards clone concurrently and a query stalls
+    /// Requests an in-place snapshot from `shard`'s live worker; `None`
+    /// when the shard is dead, down, or the request could not be sent.
+    fn request_snapshot(&self, shard: usize) -> Option<Receiver<E>> {
+        let tx = self.shards.get(shard)?.sender.as_ref()?;
+        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+        tx.send(Command::Snapshot(reply_tx)).ok()?;
+        Some(reply_rx)
+    }
+
+    /// Snapshots every shard in place, in shard order (`None` = no
+    /// state). Requests are *pipelined*: all go out before any reply is
+    /// awaited, so the shards clone concurrently and a query stalls
     /// ingestion for one clone's worth of time, not `shards` of them.
-    /// A send or receive failure yields `None` for that shard; the
-    /// `&mut self` callers fold those back into the dead set via
-    /// [`Self::note_dead`].
     fn collect_states(&self) -> Vec<Option<E>> {
-        let mut replies = Vec::with_capacity(self.config.shards);
-        for (shard, tx) in self.senders.iter().enumerate() {
-            if self.dead[shard] {
-                replies.push(None);
-                continue;
-            }
-            let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-            replies.push(tx.send(Command::Snapshot(reply_tx)).ok().map(|()| reply_rx));
-        }
+        let replies: Vec<_> =
+            (0..self.config.shards).map(|shard| self.request_snapshot(shard)).collect();
         replies
             .into_iter()
             .map(|rx| rx.and_then(|rx| rx.recv().ok()))
             .collect()
     }
 
-    /// Snapshots every shard and records newly discovered deaths.
+    /// One snapshot round for both policies: heal down lineages, collect
+    /// every state, then deal with shards whose reply failed — their
+    /// worker died. Under [`Supervision::Restart`] such a shard is
+    /// healed and asked once more; under fail-hard it is marked dead.
     fn snapshot_states(&mut self) -> Vec<Option<E>> {
-        let states = self.collect_states();
-        self.note_dead(&states);
+        for shard in 0..self.config.shards {
+            self.ensure_live(shard);
+        }
+        let mut states = self.collect_states();
+        for (shard, state) in states.iter_mut().enumerate() {
+            if state.is_none() && !self.shards[shard].dead && self.lose_worker(shard) {
+                *state = self.request_snapshot(shard).and_then(|rx| rx.recv().ok());
+            }
+        }
         states
     }
 
-    fn note_dead(&mut self, states: &[Option<E>]) {
-        for (shard, state) in states.iter().enumerate() {
-            if state.is_none() {
-                self.mark_dead(shard);
-            }
+    /// Space of the pipeline given one snapshot round's `states`.
+    ///
+    /// * Fail-hard: the live shard states, plus the latest published
+    ///   read-plane view, if any.
+    /// * Restart: the retained micro-checkpoint frames stand in for the
+    ///   shard states (`states` is ignored); the replay logs are
+    ///   [`SpaceUsage::scratch_words`], not space.
+    ///
+    /// Both add the bounded channel capacity and the router's local
+    /// buffers, one word per item slot.
+    fn space_of(&self, states: &[Option<E>]) -> usize
+    where
+        E: SpaceUsage,
+    {
+        let item_words = std::mem::size_of::<T>().div_ceil(std::mem::size_of::<u64>());
+        let channel_words =
+            self.config.shards * self.config.queue_depth * self.config.batch_size * item_words;
+        let pipeline_words = channel_words + self.buffered_items() * item_words;
+        if self.supervisor.is_some() {
+            let frame_words: usize = self
+                .shards
+                .iter()
+                .filter_map(|s| s.recovery.as_ref())
+                .map(Recovery::frame_words)
+                .sum();
+            return frame_words + pipeline_words;
         }
+        let shard_words: usize = states.iter().flatten().map(SpaceUsage::space_words).sum();
+        let view_words = self
+            .plane
+            .as_ref()
+            .and_then(|p| p.handle().query())
+            .map_or(0, |v| v.estimator().space_words());
+        shard_words + pipeline_words + view_words
     }
 }
 
-/// The [`Engine`] verb set, delegating to the inherent methods — the
-/// plain engine is the fail-hard policy behind the unified interface.
+/// The [`Engine`] verb set, delegating to the inherent methods.
 impl<E, T> Engine<T> for ShardedEngine<E, T>
 where
     E: BatchIngest<T> + Mergeable + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
-    T: Routable + Send + 'static,
+    T: Routable + Clone + Send + 'static,
 {
     type Output = E;
     type Error = EngineError;
@@ -774,39 +965,42 @@ where
     }
 }
 
-/// Space of the whole pipeline: the sum of the *live* shard estimators'
-/// space (obtained by snapshot; dead shards hold nothing) plus the
-/// bounded channel capacity, the router's local buffers (one word per
-/// item slot), and the latest published read-plane view, if any.
+/// Space of the whole pipeline, by the policy's formula (see
+/// `space_of`): steady-state space in `space_words`, the supervised
+/// replay logs — bounded transient state that exists only to make
+/// recovery exact — in `scratch_words`.
 impl<E, T> SpaceUsage for ShardedEngine<E, T>
 where
     E: BatchIngest<T> + Mergeable + Clone + Send + Sync + SpaceUsage + 'static,
-    T: Routable + Send + 'static,
+    T: Routable + Clone + Send + 'static,
 {
     fn space_words(&self) -> usize {
-        let shard_words: usize = self
-            .collect_states()
+        // Only the fail-hard formula reads the shard states.
+        let states = match self.supervisor {
+            Some(_) => Vec::new(),
+            None => self.collect_states(),
+        };
+        self.space_of(&states)
+    }
+
+    fn scratch_words(&self) -> usize {
+        self.shards
             .iter()
-            .flatten()
-            .map(SpaceUsage::space_words)
-            .sum();
-        let item_words = std::mem::size_of::<T>().div_ceil(std::mem::size_of::<u64>());
-        let channel_words =
-            self.config.shards * self.config.queue_depth * self.config.batch_size * item_words;
-        let view_words = self
-            .plane
-            .as_ref()
-            .and_then(|p| p.handle().query())
-            .map_or(0, |v| v.estimator().space_words());
-        shard_words + channel_words + self.buffered_items() * item_words + view_words
+            .filter_map(|s| s.recovery.as_ref())
+            .map(Recovery::log_words)
+            .sum()
     }
 }
 
 impl<E, T> Drop for ShardedEngine<E, T> {
     fn drop(&mut self) {
-        self.senders.clear();
-        for handle in self.handles.drain(..).flatten() {
-            let _ = handle.join();
+        for s in &mut self.shards {
+            s.sender = None;
+        }
+        for s in &mut self.shards {
+            if let Some(handle) = s.handle.take() {
+                let _ = handle.join();
+            }
         }
         // `plane` drops with the struct, after the joins above — its
         // Drop joins the aggregator, which by then has no live sender.
@@ -930,7 +1124,12 @@ mod tests {
         for k in 0..100u64 {
             engine.ingest((k, 1));
         }
+        // `report` takes one snapshot round for both the merge and the
+        // space figure; it must agree with a separate `space_words` at
+        // the same offset (the report flushed, so nothing is buffered).
+        let reported = engine.report(None).unwrap().space_words;
         let words = engine.space_words();
+        assert_eq!(reported, words);
         let merged = engine.finish().unwrap();
         // Engine space at least covers the merged estimator's state
         // (shard duplication and channel capacity only add).
@@ -1132,8 +1331,8 @@ mod tests {
         let _ = engine.finish().unwrap();
     }
 
-    /// Drive both policies through the unified trait: the generic
-    /// driver below cannot name either concrete engine.
+    /// Drive both policies through the [`Engine`] trait: the generic
+    /// driver below cannot name the concrete engine.
     fn drive_generic<N>(mut engine: N) -> (u64, u64)
     where
         N: Engine<(u64, u64), Output = CashTable, Error = EngineError>,
@@ -1153,9 +1352,9 @@ mod tests {
     #[test]
     fn both_policies_speak_the_engine_trait() {
         let plain = ShardedEngine::new(EngineConfig::with_shards(2), CashTable::new());
-        let supervised = SupervisedEngine::new(
+        let supervised = ShardedEngine::with_policy(
             EngineConfig::with_shards(2),
-            SupervisorConfig::default(),
+            Supervision::Restart(SupervisorConfig::default(), FaultPlan::none()),
             CashTable::new(),
         )
         .unwrap();

@@ -264,8 +264,7 @@ fn aggregate<E: Mergeable>(
 /// A cloneable, `&self` handle onto an engine's published views.
 ///
 /// Obtained from
-/// [`ShardedEngine::read_handle`](crate::ShardedEngine::read_handle) /
-/// [`SupervisedEngine::read_handle`](crate::SupervisedEngine::read_handle)
+/// [`ShardedEngine::read_handle`](crate::ShardedEngine::read_handle)
 /// when the engine was built with a `publish_interval`. Clone it into
 /// as many reader threads as you like: queries never block the router
 /// and never block each other.

@@ -1,14 +1,12 @@
 //! The shard-runtime core: the one worker loop, its command set, and
-//! worker lifecycle plumbing shared by every engine policy.
+//! worker lifecycle plumbing.
 //!
-//! Both [`ShardedEngine`](crate::ShardedEngine) and
-//! [`SupervisedEngine`](crate::SupervisedEngine) are thin policy
-//! layers over this module: they decide *when* workers spawn, die, and
-//! respawn; the runtime defines *what a worker is*. There is exactly
-//! one worker loop in the crate — policy-specific behaviour (the
-//! supervisor's micro-checkpoint frames) enters through the
-//! [`WorkerCtx::on_applied`] callback, and the read plane's shard
-//! views flow out through [`WorkerCtx::views`].
+//! [`ShardedEngine`](crate::ShardedEngine) decides *when* workers
+//! spawn, die, and respawn; the runtime defines *what a worker is*.
+//! There is exactly one worker loop in the crate — policy-specific
+//! behaviour (the supervised policy's micro-checkpoint frames) enters
+//! through the [`WorkerCtx::on_applied`] callback, and the read plane's
+//! shard views flow out through [`WorkerCtx::views`].
 
 use crate::faults;
 use crate::read_plane::ShardView;
@@ -18,8 +16,8 @@ use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
 use std::thread::JoinHandle;
 
 /// Commands a shard worker understands. One enum for every policy:
-/// the plain engine sends `Batch`/`Snapshot`/`Publish`; stalls and
-/// poisons exist only for the supervisor's fault injection.
+/// every engine sends `Batch`/`Snapshot`/`Publish`; stalls and poisons
+/// exist only for the supervised policy's fault injection.
 pub(crate) enum Command<E, T> {
     /// Apply one batch of items.
     Batch(Vec<T>),
@@ -53,19 +51,12 @@ pub(crate) struct WorkerCtx<E> {
     pub shard: usize,
     /// Called with `(state, applied)` once at spawn (with the base
     /// ordinal) and after every applied batch. The supervisor's frame
-    /// emission lives in this closure; the plain engine passes `None`
+    /// emission lives in this closure; a fail-hard engine passes `None`
     /// and pays nothing.
     pub on_applied: Option<AppliedHook<E>>,
     /// Read-plane sink for [`Command::Publish`] replies; `None` when
     /// the read plane is disabled.
     pub views: Option<Sender<ShardView<E>>>,
-}
-
-impl<E> WorkerCtx<E> {
-    /// Wiring for a plain, un-instrumented worker.
-    pub(crate) fn plain(shard: usize) -> Self {
-        Self { shard, on_applied: None, views: None }
-    }
 }
 
 /// One live worker lineage: its command channel and thread handle.

@@ -1,27 +1,27 @@
-//! The self-healing policy layer: supervised shards with
-//! micro-checkpoints and replay-based recovery.
+//! The self-healing supervision policy: micro-checkpoint frames,
+//! bounded replay logs, heal, and fault injection.
 //!
-//! [`SupervisedEngine`] runs the *same* worker loop as
-//! [`ShardedEngine`](crate::ShardedEngine) — the one in
-//! `runtime.rs` — under a supervising policy with three additions:
+//! An engine built with [`Supervision::Restart`] runs the *same*
+//! [`ShardedEngine`] verbs and the same worker loop as a fail-hard one;
+//! what this module adds is what happens around a worker's death:
 //!
 //! 1. **Micro-checkpoints.** Every worker encodes its estimator state
 //!    (a [`Snapshot`] frame) once at spawn and then every
 //!    [`SupervisorConfig::checkpoint_interval`] applied batches, on the
 //!    *worker* thread — the router never stalls for encoding. Frame
-//!    emission is the supervisor's `on_applied` callback (see
-//!    [`WorkerCtx`]); the plain engine passes no callback and pays
-//!    nothing. Frames flow to the supervisor over an unbounded channel
-//!    and are drained opportunistically at dispatch boundaries and
+//!    emission is the `on_applied` hook of the shared runtime (see
+//!    [`WorkerCtx`]); a fail-hard engine passes no hook and pays
+//!    nothing. Frames flow to the router over an unbounded channel and
+//!    are drained opportunistically at dispatch boundaries and
 //!    synchronously after every join.
 //! 2. **Replay logs.** Every batch dispatched to a shard is also
 //!    appended to that shard's bounded [`ReplayLog`]; a frame at batch
 //!    ordinal *n* lets the log discard everything below *n*.
 //! 3. **Heal.** When a worker dies (panic, injected kill, failed
-//!    send), the supervisor joins it, harvests the panic payload,
-//!    decodes the newest checksum-valid frame, respawns the shard from
-//!    it, and replays the log suffix — FIFO order makes the healed
-//!    shard **bit-identical** to one that never crashed.
+//!    send), the engine joins it, harvests the panic payload, decodes
+//!    the newest checksum-valid frame, respawns the shard from it, and
+//!    replays the log suffix — FIFO order makes the healed shard
+//!    **bit-identical** to one that never crashed.
 //!
 //! The degradation ladder when healing cannot proceed (restart budget
 //! exhausted, replay log overflowed past the newest frame, no
@@ -43,11 +43,9 @@
 //!
 //! # The read plane under supervision
 //!
-//! With a `publish_interval` configured, the supervised engine
-//! publishes epoch views exactly like the plain engine, with one extra
-//! rule: a publish is **skipped entirely** while any shard is terminal
-//! — a published view is *never* degraded. Epoch markers are not
-//! replay-logged: a worker that dies holding its marker takes the
+//! A supervised engine **skips** a publish entirely while any shard is
+//! terminal — a published view is *never* degraded. Epoch markers are
+//! not replay-logged: a worker that dies holding its marker takes the
 //! epoch down with it (the aggregator discards the incomplete epoch),
 //! so a kill-and-heal can delay publication but can never surface a
 //! non-healed view. `tests/engine_faults.rs` pins this.
@@ -55,24 +53,78 @@
 //! [`WorkerCtx`]: crate::runtime::WorkerCtx
 
 use crate::config::{EngineConfig, SupervisorConfig};
-use crate::checkpoint::EngineCheckpoint;
-use crate::error::{panic_message, EngineError, QueryReport};
+use crate::error::EngineError;
 use crate::faults::{self, Fault, FaultKind, FaultPlan};
-use crate::read_plane::{ReadHandle, ReadPlane};
 use crate::replay::ReplayLog;
-use crate::runtime::{merge_all, spawn_worker, Command, WorkerCtx};
-use crate::router::Router;
-use crate::{BatchIngest, Routable};
+use crate::runtime::{AppliedHook, Command};
+use crate::{BatchIngest, Routable, ShardedEngine};
 use hindex_common::snapshot::fnv1a;
-use hindex_common::{Degraded, Engine, Estimate, Guarantee, Mergeable, Snapshot, SpaceUsage};
-use hindex_obs::{EngineObserver, Stopwatch};
-use std::sync::mpsc::{channel, Receiver, SyncSender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use hindex_common::{Mergeable, Snapshot};
+use hindex_obs::Stopwatch;
+use std::sync::mpsc::{channel, Receiver};
+
+/// How a [`ShardedEngine`] treats a worker that dies — chosen once, at
+/// construction ([`ShardedEngine::with_policy`]).
+///
+/// ```
+/// use hindex_baseline::CashTable;
+/// use hindex_common::Estimate;
+/// use hindex_engine::{EngineConfig, FaultPlan, ShardedEngine, Supervision, SupervisorConfig};
+///
+/// let config = EngineConfig::builder().shards(2).batch(8).build().unwrap();
+/// // Kill both workers mid-stream; recovery is exact.
+/// let plan = FaultPlan::kill_sweep(2, 100, 200);
+/// let policy = Supervision::Restart(SupervisorConfig::default(), plan);
+/// let mut engine = ShardedEngine::with_policy(config, policy, CashTable::new()).unwrap();
+/// for k in 0..1_000u64 {
+///     engine.ingest((k % 40, 1));
+/// }
+/// assert_eq!(engine.finish().unwrap().estimate(), 25);
+/// ```
+#[derive(Debug)]
+pub enum Supervision {
+    /// A dead worker's shard is lost for good, with the harvested
+    /// panic message as the reason: strict verbs refuse with
+    /// [`EngineError::ShardDead`] until the caller opts into the
+    /// `_degraded` variants.
+    FailHard,
+    /// Self-healing: micro-checkpoints, bounded replay, and
+    /// restart-from-checkpoint on worker death, bounded by the
+    /// [`SupervisorConfig`]; the [`FaultPlan`] injects deterministic
+    /// chaos ([`FaultPlan::none`] for none).
+    Restart(SupervisorConfig, FaultPlan),
+}
+
+/// Constructor shim for the self-healing policy. It exists only
+/// because the end-to-end benchmark in `hbench/`, which must keep
+/// building unmodified, names it; new code calls
+/// [`ShardedEngine::with_policy`] with [`Supervision::Restart`].
+pub struct SupervisedEngine;
+
+impl SupervisedEngine {
+    /// A [`Supervision::Restart`] engine without injected faults.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::InvalidConfig`] when either config fails
+    /// validation.
+    #[allow(clippy::new_ret_no_self)] // the shim names the one engine type
+    pub fn new<E, T>(
+        config: EngineConfig,
+        sup: SupervisorConfig,
+        prototype: E,
+    ) -> Result<ShardedEngine<E, T>, EngineError>
+    where
+        E: BatchIngest<T> + Mergeable + Snapshot + Clone + Send + Sync + 'static,
+        T: Routable + Clone + Send + 'static,
+    {
+        ShardedEngine::with_policy(config, Supervision::Restart(sup, FaultPlan::none()), prototype)
+    }
+}
 
 /// One micro-checkpoint: the estimator's frame bytes after `applied`
 /// batches.
-struct Frame {
+pub(crate) struct Frame {
     applied: u64,
     bytes: Vec<u8>,
 }
@@ -90,366 +142,184 @@ fn frame_checksum_ok(bytes: &[u8]) -> bool {
     fnv1a(body) == u64::from_le_bytes(checksum)
 }
 
-/// Everything the supervisor tracks per shard.
-struct ShardState<E, T> {
-    sender: Option<SyncSender<Command<E, T>>>,
-    handle: Option<JoinHandle<E>>,
+/// Engine-wide state of [`Supervision::Restart`]: the knobs, the fault
+/// plan, and `E`'s frame codec — captured here, where `E: Snapshot` is
+/// known, so no other engine verb needs that bound.
+pub(crate) struct Supervisor<E> {
+    pub(crate) config: SupervisorConfig,
+    plan: Vec<Fault>,
+    fired: Vec<bool>,
+    encode: fn(&E) -> Vec<u8>,
+    decode: fn(&[u8]) -> Option<E>,
+}
+
+/// A frame's estimator state, when the frame decodes.
+fn decode_frame<E: Snapshot>(bytes: &[u8]) -> Option<E> {
+    E::read_from(bytes).ok().map(|(state, _)| state)
+}
+
+impl Supervision {
+    /// The engine-side state of this policy; `None` for fail-hard.
+    pub(crate) fn supervisor<E: Snapshot>(self) -> Result<Option<Supervisor<E>>, EngineError> {
+        match self {
+            Supervision::FailHard => Ok(None),
+            Supervision::Restart(config, plan) => {
+                config.validate()?;
+                Ok(Some(Supervisor {
+                    config,
+                    fired: vec![false; plan.faults.len()],
+                    plan: plan.faults,
+                    encode: E::to_bytes,
+                    decode: decode_frame::<E>,
+                }))
+            }
+        }
+    }
+}
+
+impl<E: 'static> Supervisor<E> {
+    /// The worker hook that makes a lineage supervised: encode a frame
+    /// on the worker thread at spawn (`applied == base`) and every
+    /// `checkpoint_interval` applied batches after it.
+    pub(crate) fn frame_hook(&self, base: u64) -> (AppliedHook<E>, Receiver<Frame>) {
+        let (frame_tx, frames) = channel::<Frame>();
+        let interval = self.config.checkpoint_interval;
+        let encode = self.encode;
+        let hook = Box::new(move |estimator: &E, applied: u64| {
+            if (applied - base).is_multiple_of(interval) {
+                let _ = frame_tx.send(Frame { applied, bytes: encode(estimator) });
+            }
+        });
+        (hook, frames)
+    }
+}
+
+/// A shard's recovery record under [`Supervision::Restart`].
+pub(crate) struct Recovery<T> {
+    /// Frames emitted by the shard's current lineage.
     frames: Receiver<Frame>,
-    log: ReplayLog<T>,
     /// Newest checksum-valid frame seen (corrupt frames are dropped).
     frame: Option<Frame>,
-    /// Worker deaths observed (panics only, not clean retirements).
-    deaths: u64,
+    log: ReplayLog<T>,
     /// Restarts consumed from [`SupervisorConfig::max_restarts`].
     restarts: u32,
     /// Injected send failures still owed.
     fail_remaining: u64,
     /// Corrupt the first frame with `applied ≥` this ordinal.
     corrupt_after: Option<u64>,
-    /// Most recent harvested panic payload.
-    last_reason: Option<String>,
-    /// Terminal death reason; `Some` = the shard is gone for good.
-    terminal: Option<String>,
 }
 
-/// A [`ShardedEngine`](crate::ShardedEngine) that heals itself: worker
-/// death triggers restart-from-micro-checkpoint plus replay instead of
-/// data loss, bounded by [`SupervisorConfig::max_restarts`] and the
-/// replay-log budget. The *self-healing* policy behind the unified
-/// [`Engine`] trait.
-///
-/// ```
-/// use hindex_baseline::CashTable;
-/// use hindex_common::Estimate;
-/// use hindex_engine::{EngineConfig, FaultPlan, SupervisedEngine, SupervisorConfig};
-///
-/// let config = EngineConfig::builder().shards(2).batch(8).build().unwrap();
-/// // Kill both workers mid-stream; recovery is exact.
-/// let plan = FaultPlan::kill_sweep(2, 100, 200);
-/// let mut engine =
-///     SupervisedEngine::with_faults(config, SupervisorConfig::default(), plan, CashTable::new())
-///         .unwrap();
-/// for k in 0..1_000u64 {
-///     engine.ingest((k % 40, 1));
-/// }
-/// assert_eq!(engine.finish().unwrap().estimate(), 25);
-/// ```
-pub struct SupervisedEngine<E, T> {
-    config: EngineConfig,
-    sup: SupervisorConfig,
-    plan: Vec<Fault>,
-    fired: Vec<bool>,
-    shards: Vec<ShardState<E, T>>,
-    /// Routing + batching + stream offset (shared with the plain
-    /// engine).
-    router: Router<T>,
-    /// The read plane, when `publish_interval` is configured. Declared
-    /// last so it drops after `Drop` joins the workers.
-    plane: Option<ReadPlane<E>>,
+impl<T: Clone> Recovery<T> {
+    pub(crate) fn new(frames: Receiver<Frame>, max_replay_words: usize) -> Self {
+        Self {
+            frames,
+            frame: None,
+            log: ReplayLog::new(max_replay_words),
+            restarts: 0,
+            fail_remaining: 0,
+            corrupt_after: None,
+        }
+    }
+
+    /// Words of the retained micro-checkpoint frame.
+    pub(crate) fn frame_words(&self) -> usize {
+        self.frame
+            .as_ref()
+            .map_or(0, |f| f.bytes.len().div_ceil(std::mem::size_of::<u64>()))
+    }
+
+    /// Words held by the replay log (scratch, not paper space).
+    pub(crate) fn log_words(&self) -> usize {
+        self.log.words()
+    }
 }
 
-impl<E, T> SupervisedEngine<E, T>
+impl<E, T> ShardedEngine<E, T>
 where
-    E: BatchIngest<T> + Mergeable + Snapshot + Clone + Send + Sync + 'static,
+    E: BatchIngest<T> + Mergeable + Clone + Send + Sync + 'static,
     T: Routable + Clone + Send + 'static,
 {
-    /// Supervised engine without injected faults.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidConfig`] when either config fails
-    /// validation (this constructor never panics on geometry).
-    pub fn new(
-        config: EngineConfig,
-        sup: SupervisorConfig,
-        prototype: E,
-    ) -> Result<Self, EngineError> {
-        Self::with_faults(config, sup, FaultPlan::none(), prototype)
-    }
-
-    /// Supervised engine with a deterministic chaos plan.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidConfig`] when either config fails
-    /// validation.
-    pub fn with_faults(
-        config: EngineConfig,
-        sup: SupervisorConfig,
-        plan: FaultPlan,
-        prototype: E,
-    ) -> Result<Self, EngineError> {
-        config.validate()?;
-        sup.validate()?;
-        let plane = config
-            .publish_interval
-            .map(|interval| ReadPlane::new(config.shards, interval, config.observer.clone()));
-        let mut engine = Self {
-            router: Router::new(config.shards, config.batch_size, 0),
-            fired: vec![false; plan.faults.len()],
-            plan: plan.faults,
-            shards: Vec::with_capacity(config.shards),
-            plane,
-            config,
-            sup,
-        };
-        for shard in 0..engine.config.shards {
-            let (sender, handle, frames) = engine.spawn_lineage(shard, prototype.clone(), 0);
-            engine.shards.push(ShardState {
-                sender: Some(sender),
-                handle: Some(handle),
-                frames,
-                log: ReplayLog::new(engine.sup.max_replay_words),
-                frame: None,
-                deaths: 0,
-                restarts: 0,
-                fail_remaining: 0,
-                corrupt_after: None,
-                last_reason: None,
-                terminal: None,
-            });
+    /// The supervised half of dispatch: drain frames, fire due faults,
+    /// then log the batch (the log is recovery's source of truth, so
+    /// the batch is durable before any delivery attempt). Returns the
+    /// batch for direct delivery, or `None` when it was handled here:
+    /// the shard went terminal, an injected send failure swallowed it,
+    /// or a heal's replay delivered it. Fail-hard shards get their
+    /// batch straight back.
+    pub(crate) fn log_batch(&mut self, shard: usize, batch: Vec<T>) -> Option<Vec<T>> {
+        debug_assert!(shard < self.shards.len(), "shard index computed by the router");
+        if self.shards[shard].recovery.is_none() {
+            return Some(batch);
         }
-        Ok(engine)
-    }
-
-    /// Spawns one worker lineage on the shared runtime: the frame
-    /// emission that makes it *supervised* is the `on_applied` closure
-    /// (encode on the worker thread at spawn and every
-    /// `checkpoint_interval` applied batches).
-    fn spawn_lineage(
-        &self,
-        shard: usize,
-        state: E,
-        base: u64,
-    ) -> (SyncSender<Command<E, T>>, JoinHandle<E>, Receiver<Frame>) {
-        let (frame_tx, frame_rx) = channel::<Frame>();
-        let interval = self.sup.checkpoint_interval;
-        let on_applied = Box::new(move |estimator: &E, applied: u64| {
-            // `applied == base` at spawn: 0 is a multiple, so every
-            // lineage emits its base frame before its first recv.
-            if (applied - base).is_multiple_of(interval) {
-                let _ = frame_tx.send(Frame { applied, bytes: estimator.to_bytes() });
-            }
-        });
-        let ctx = WorkerCtx {
-            shard,
-            on_applied: Some(on_applied),
-            views: self.plane.as_ref().and_then(ReadPlane::view_sender),
-        };
-        let lineage = spawn_worker(self.config.queue_depth, state, base, ctx);
-        (lineage.sender, lineage.handle, frame_rx)
-    }
-
-    /// The engine configuration in effect.
-    #[must_use]
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The supervision knobs in effect.
-    #[must_use]
-    pub fn supervisor_config(&self) -> &SupervisorConfig {
-        &self.sup
-    }
-
-    /// Items routed so far.
-    #[must_use]
-    pub fn stream_offset(&self) -> u64 {
-        self.router.tick()
-    }
-
-    /// Indices of shards that are terminally dead (healing exhausted).
-    #[must_use]
-    pub fn dead_shard_indices(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.terminal.is_some().then_some(i))
-            .collect()
-    }
-
-    /// Total restarts consumed across all shards.
-    #[must_use]
-    pub fn restarts(&self) -> u64 {
-        self.shards.iter().map(|s| u64::from(s.restarts)).sum()
-    }
-
-    fn obs(&self) -> Option<Arc<EngineObserver>> {
-        self.config.observer.clone()
-    }
-
-    /// Routes one item to its shard; dispatches the shard's batch when
-    /// it reaches `batch_size`, and publishes a read-plane epoch when
-    /// one is due.
-    pub fn ingest(&mut self, item: T) {
-        if let Some((shard, batch)) = self.router.push(item) {
-            self.dispatch(shard, batch);
-        }
-        if self.plane.as_ref().is_some_and(|p| p.due(self.router.tick())) {
-            let _ = self.publish_now();
-        }
-    }
-
-    /// Ingests every item of a slice, then notes the batch in the
-    /// observer (one `PushBatch` event per call, not per item).
-    pub fn ingest_batch(&mut self, items: &[T])
-    where
-        T: Copy,
-    {
-        for &item in items {
-            self.ingest(item);
-        }
-        if let Some(o) = self.obs() {
-            o.on_push_batch(self.router.tick(), items.len() as u64);
-        }
-    }
-
-    /// Dispatches pending partial batches and arms/fires any due
-    /// faults on every shard (so a planned kill fires even on a shard
-    /// that gets no further traffic).
-    pub fn flush(&mut self) {
-        for shard in 0..self.config.shards {
-            if let Some(o) = self.obs() {
-                o.on_queue_depth(shard, self.router.pending(shard) as u64);
-            }
-            match self.router.take(shard) {
-                Some(batch) => self.dispatch(shard, batch),
-                None => {
-                    if self.shards[shard].terminal.is_none() {
-                        self.apply_faults(shard);
-                    }
-                }
-            }
-        }
-        if let Some(plane) = &self.plane {
-            plane.note_offset(self.router.tick());
-        }
-    }
-
-    /// A cloneable, `&self` handle onto the engine's published views,
-    /// or `None` when the engine was built without a
-    /// `publish_interval`. See [`ReadHandle`].
-    #[must_use]
-    pub fn read_handle(&self) -> Option<ReadHandle<E>> {
-        self.plane.as_ref().map(ReadPlane::handle)
-    }
-
-    /// Forces a read-plane publish at the current stream offset and
-    /// returns the epoch issued. `None` when the engine has no read
-    /// plane **or any shard is terminal** — a published view is never
-    /// degraded. Down-but-healable lineages are healed first, so the
-    /// epoch covers exactly [`Self::stream_offset`] items when it
-    /// completes.
-    pub fn publish_now(&mut self) -> Option<u64> {
-        self.plane.as_ref()?;
-        self.flush();
-        for shard in 0..self.config.shards {
-            self.ensure_live(shard);
-        }
-        if self.shards.iter().any(|s| s.terminal.is_some()) {
-            return None;
-        }
-        let offset = self.router.tick();
-        let epoch = self.plane.as_mut()?.begin_epoch(offset);
-        for s in &self.shards {
-            if let Some(tx) = &s.sender {
-                // A send failure means the worker died holding the
-                // marker: the epoch stays incomplete and is discarded
-                // by the aggregator — never published short. The death
-                // itself is detected (and healed) at the next dispatch.
-                let _ = tx.send(Command::Publish { epoch, offset });
-            }
-        }
-        Some(epoch)
-    }
-
-    /// The dispatch path: log the batch, drain frames, fire due
-    /// faults, then deliver — directly when the lineage is live, via
-    /// heal-and-replay when it is down.
-    fn dispatch(&mut self, shard: usize, batch: Vec<T>) {
-        let obs = self.obs();
-        let len = batch.len() as u64;
-        let full = batch.len() >= self.config.batch_size;
-        if self.shards[shard].terminal.is_some() {
-            if let Some(o) = &obs {
-                o.on_batch_lost(self.router.tick(), shard, len);
-            }
-            return;
-        }
-        // Log first: the log is the source of truth for recovery, so
-        // the batch must be durable (in supervisor memory) before any
-        // delivery attempt.
-        let evicted = self.shards[shard].log.push(batch);
+        self.drain_frames(shard);
+        self.apply_faults(shard);
+        let tick = self.router.tick();
+        let s = &mut self.shards[shard];
+        let r = s.recovery.as_mut()?;
+        let evicted = r.log.push(batch.clone());
         if evicted.entries > 0 {
-            if let Some(o) = &obs {
-                o.on_replay_overflow(self.router.tick(), shard, evicted.entries);
+            if let Some(o) = &self.config.observer {
+                o.on_replay_overflow(tick, shard, evicted.entries);
             }
             if evicted.undelivered_items > 0 {
                 // Updates that never reached any worker just left the
                 // log: the shard can no longer become correct. Honest
                 // degradation, never a silently wrong answer.
-                if let Some(o) = &obs {
-                    o.on_batch_lost(self.router.tick(), shard, evicted.undelivered_items);
+                if let Some(o) = &self.config.observer {
+                    o.on_batch_lost(tick, shard, evicted.undelivered_items);
                 }
                 self.terminal(shard, "replay log overflowed past undelivered batches");
-                return;
+                return None;
             }
         }
-        self.drain_frames(shard);
-        self.apply_faults(shard);
-        if self.shards[shard].terminal.is_some() {
-            return; // a fault escalated to terminal during arming
-        }
-        if self.shards[shard].fail_remaining > 0 {
-            self.shards[shard].fail_remaining -= 1;
+        if r.fail_remaining > 0 {
+            r.fail_remaining -= 1;
             // The batch stays logged and undelivered; the lineage is
             // retired so the eventual heal replays a contiguous
             // suffix (delivering around a dropped send would fork the
             // shard's stream).
-            self.retire_lineage(shard);
-            return;
-        }
-        if self.shards[shard].sender.is_none() {
-            self.heal(shard);
-            return; // heal's replay delivered (and flushed) the batch
-        }
-        let newest = self.shards[shard]
-            .log
-            .replay_from(self.shards[shard].log.next().saturating_sub(1));
-        let payload = newest.into_iter().next().map(|(_, b, _)| b);
-        let sent = match (payload, &self.shards[shard].sender) {
-            (Some(b), Some(tx)) => tx.send(Command::Batch(b)).is_ok(),
-            _ => false,
-        };
-        if sent {
-            self.shards[shard].log.mark_newest_delivered();
-            if let Some(o) = &obs {
-                o.on_flush(self.router.tick(), shard, len, full);
-            }
-        } else {
-            // The worker died on its own (estimator bug); harvest and
-            // heal — the replay redelivers this batch and flushes it.
             self.join_lineage(shard);
-            self.heal(shard);
+            return None;
+        }
+        if s.sender.is_none() {
+            self.heal(shard); // the replay delivers (and flushes) the batch
+            return None;
+        }
+        Some(batch)
+    }
+
+    /// Notes a successful direct delivery of the newest logged batch.
+    pub(crate) fn mark_delivered(&mut self, shard: usize) {
+        debug_assert!(shard < self.shards.len(), "shard index computed by the router");
+        if let Some(r) = self.shards[shard].recovery.as_mut() {
+            r.log.mark_newest_delivered();
         }
     }
 
     /// Fires every not-yet-fired planned fault targeting `shard` whose
     /// tick has arrived. Pure function of (plan, tick): deterministic.
-    fn apply_faults(&mut self, shard: usize) {
-        let obs = self.obs();
-        for i in 0..self.plan.len() {
-            let fault = self.plan[i];
-            if self.fired[i] || fault.shard != shard || fault.tick > self.router.tick() {
-                continue;
+    pub(crate) fn apply_faults(&mut self, shard: usize) {
+        debug_assert!(shard < self.shards.len(), "shard index computed by the router");
+        let tick = self.router.tick();
+        let Some(sup) = self.supervisor.as_mut() else { return };
+        let due: Vec<Fault> = sup
+            .plan
+            .iter()
+            .zip(sup.fired.iter_mut())
+            .filter(|(f, fired)| !**fired && f.shard == shard && f.tick <= tick)
+            .map(|(f, fired)| {
+                *fired = true;
+                *f
+            })
+            .collect();
+        for fault in due {
+            if let Some(o) = &self.config.observer {
+                o.on_fault_injected(tick, u32::try_from(shard).ok(), fault.kind.code());
             }
-            self.fired[i] = true;
-            if let Some(o) = &obs {
-                o.on_fault_injected(self.router.tick(), u32::try_from(shard).ok(), fault.kind.code());
-            }
+            let s = &mut self.shards[shard];
             match fault.kind {
                 FaultKind::Kill => {
-                    if let Some(tx) = &self.shards[shard].sender {
+                    if let Some(tx) = &s.sender {
                         // Queued behind every in-flight batch: the
                         // worker applies them all, then panics — the
                         // genuine crash path, FIFO-deterministic.
@@ -461,23 +331,30 @@ where
                     self.join_lineage(shard);
                 }
                 FaultKind::FailSends => {
-                    self.shards[shard].fail_remaining =
-                        self.shards[shard].fail_remaining.saturating_add(fault.arg);
+                    if let Some(r) = s.recovery.as_mut() {
+                        r.fail_remaining = r.fail_remaining.saturating_add(fault.arg);
+                    }
                 }
                 FaultKind::Stall => {
-                    if let Some(tx) = &self.shards[shard].sender {
+                    if let Some(tx) = &s.sender {
                         let _ = tx.send(Command::Stall(fault.arg));
                     }
                 }
                 FaultKind::Corrupt => {
-                    // Corrupt the stored micro-checkpoint: flip bytes in
-                    // the retained frame when one exists, otherwise arm
-                    // for the first frame covering the batches
-                    // dispatched so far.
-                    let s = &mut self.shards[shard];
-                    match &mut s.frame {
-                        Some(frame) => faults::corrupt_frame(&mut frame.bytes),
-                        None => s.corrupt_after = Some(s.log.next()),
+                    // Corrupt the first micro-checkpoint covering every
+                    // batch dispatched before the fault fired: the
+                    // retained frame when it already is that frame,
+                    // otherwise the next one drained. Which frame that
+                    // is depends only on the stream and the plan, not
+                    // on how far the drain has got.
+                    if let Some(r) = s.recovery.as_mut() {
+                        let target = r.log.next();
+                        match &mut r.frame {
+                            Some(frame) if frame.applied >= target => {
+                                faults::corrupt_frame(&mut frame.bytes);
+                            }
+                            _ => r.corrupt_after = Some(target),
+                        }
                     }
                 }
             }
@@ -485,19 +362,20 @@ where
     }
 
     /// Non-blocking drain of `shard`'s frame channel: validate, apply
-    /// armed corruption, keep the newest good frame, trim the log.
-    fn drain_frames(&mut self, shard: usize) {
+    /// armed corruption, keep the newest good frame, trim the log. A
+    /// no-op for fail-hard shards.
+    pub(crate) fn drain_frames(&mut self, shard: usize) {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
-        let obs = self.obs();
-        let s = &mut self.shards[shard];
-        while let Ok(mut frame) = s.frames.try_recv() {
-            if let Some(o) = &obs {
+        let Some(r) = self.shards[shard].recovery.as_mut() else { return };
+        let obs = &self.config.observer;
+        while let Ok(mut frame) = r.frames.try_recv() {
+            if let Some(o) = obs {
                 o.on_micro_checkpoint(shard, frame.bytes.len() as u64);
             }
-            if let Some(min) = s.corrupt_after {
+            if let Some(min) = r.corrupt_after {
                 if frame.applied >= min {
                     faults::corrupt_frame(&mut frame.bytes);
-                    s.corrupt_after = None;
+                    r.corrupt_after = None;
                 }
             }
             // A corrupt frame (injected or a real torn write) fails its
@@ -505,127 +383,97 @@ where
             // previous good frame, which the log still covers because
             // trimming only follows *accepted* frames.
             if frame_checksum_ok(&frame.bytes)
-                && s.frame.as_ref().is_none_or(|f| frame.applied >= f.applied)
+                && r.frame.as_ref().is_none_or(|f| frame.applied >= f.applied)
             {
-                s.log.trim_to(frame.applied);
-                s.frame = Some(frame);
+                r.log.trim_to(frame.applied);
+                r.frame = Some(frame);
             }
         }
-        if let Some(o) = &obs {
-            o.on_replay_words(shard, s.log.words() as u64);
+        if let Some(o) = obs {
+            o.on_replay_words(shard, r.log.words() as u64);
         }
     }
 
-    /// Joins a dead (or poisoned) worker, harvesting its panic
-    /// payload, then drains the frames it emitted before dying.
-    fn join_lineage(&mut self, shard: usize) {
+    /// Declares `shard` terminally dead at rung `what` of the
+    /// degradation ladder and counts its never-delivered updates as
+    /// lost.
+    pub(crate) fn terminal(&mut self, shard: usize, what: &str) {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
-        let obs = self.obs();
-        let s = &mut self.shards[shard];
-        s.sender = None; // close the channel so the join can't block
-        if let Some(handle) = s.handle.take() {
-            match handle.join() {
-                Ok(_state) => {} // clean exit; frames carry its history
-                Err(payload) => {
-                    s.deaths += 1;
-                    s.last_reason = Some(panic_message(payload.as_ref()));
-                    if let Some(o) = &obs {
-                        o.on_shard_panicked(self.router.tick(), shard, s.deaths);
-                    }
-                }
-            }
-        }
-        self.drain_frames(shard);
-    }
-
-    /// Retires a lineage cleanly (injected send failure): close the
-    /// channel, let the worker finish its queue and return, discard
-    /// the returned state (the frames + log reconstruct it exactly).
-    fn retire_lineage(&mut self, shard: usize) {
-        debug_assert!(shard < self.shards.len(), "shard index computed by the router");
+        let tick = self.router.tick();
         let s = &mut self.shards[shard];
         s.sender = None;
-        if let Some(handle) = s.handle.take() {
-            let _ = handle.join();
-        }
-        self.drain_frames(shard);
-    }
-
-    /// Declares `shard` terminally dead and counts its never-delivered
-    /// updates as lost.
-    fn terminal(&mut self, shard: usize, what: &str) {
-        debug_assert!(shard < self.shards.len(), "shard index computed by the router");
-        let obs = self.obs();
-        let s = &mut self.shards[shard];
-        s.sender = None;
-        let reason = match &s.last_reason {
+        s.dead = true;
+        s.reason = Some(match &s.panic {
             Some(panic) => format!("{panic} ({what})"),
             None => what.to_string(),
-        };
-        s.terminal = Some(reason);
-        let lost = s.log.undelivered_items();
+        });
+        let lost = s.recovery.as_ref().map_or(0, |r| r.log.undelivered_items());
         if lost > 0 {
-            if let Some(o) = &obs {
-                o.on_batch_lost(self.router.tick(), shard, lost);
+            if let Some(o) = &self.config.observer {
+                o.on_batch_lost(tick, shard, lost);
             }
         }
     }
 
     /// Restart-from-checkpoint with replay. Returns `true` when the
-    /// shard is live again; `false` means it went terminal.
+    /// shard is live again; `false` means it went terminal (or the
+    /// engine is fail-hard, which never heals).
     ///
     /// Loops because a replayed batch can re-kill the worker (a
     /// deterministic estimator bug): each attempt consumes one restart
     /// from the budget until the budget, the frame, or the log gives
     /// out — the degradation ladder's last rungs.
-    fn heal(&mut self, shard: usize) -> bool {
-        let obs = self.obs();
+    pub(crate) fn heal(&mut self, shard: usize) -> bool {
+        debug_assert!(shard < self.shards.len(), "shard index computed by the router");
+        let Some(sup) = &self.supervisor else { return false };
+        let (max_restarts, backoff_ms, decode) =
+            (sup.config.max_restarts, sup.config.backoff_ms, sup.decode);
         let sw = Stopwatch::start();
         loop {
-            debug_assert!(self.shards[shard].sender.is_none());
-            if self.shards[shard].terminal.is_some() {
+            let s = &self.shards[shard];
+            debug_assert!(s.sender.is_none());
+            let Some(r) = s.recovery.as_ref().filter(|_| !s.dead) else {
                 return false;
-            }
-            if self.shards[shard].restarts >= self.sup.max_restarts {
+            };
+            if r.restarts >= max_restarts {
                 self.terminal(shard, "restart budget exhausted");
                 return false;
             }
-            let (base, state) = {
-                let s = &self.shards[shard];
-                let Some(frame) = &s.frame else {
-                    self.terminal(shard, "no usable micro-checkpoint");
-                    return false;
-                };
-                if frame.applied < s.log.start() {
-                    self.terminal(shard, "replay log overflowed past the newest micro-checkpoint");
-                    return false;
-                }
-                match E::read_from(&frame.bytes) {
-                    Ok((state, _)) => (frame.applied, state),
-                    Err(_) => {
-                        self.terminal(shard, "micro-checkpoint failed to decode");
-                        return false;
-                    }
-                }
+            let Some(frame) = &r.frame else {
+                self.terminal(shard, "no usable micro-checkpoint");
+                return false;
             };
-            self.shards[shard].restarts += 1;
-            if self.sup.backoff_ms > 0 {
-                // Exponential backoff, capped at 64× the base.
-                let shift = self.shards[shard].restarts.saturating_sub(1).min(6);
-                std::thread::sleep(std::time::Duration::from_millis(
-                    self.sup.backoff_ms << shift,
-                ));
+            if frame.applied < r.log.start() {
+                self.terminal(shard, "replay log overflowed past the newest micro-checkpoint");
+                return false;
             }
-            let (sender, handle, frames) = self.spawn_lineage(shard, state, base);
+            let base = frame.applied;
+            let Some(state) = decode(&frame.bytes) else {
+                self.terminal(shard, "micro-checkpoint failed to decode");
+                return false;
+            };
+            let restarts = r.restarts + 1;
+            if backoff_ms > 0 {
+                // Exponential backoff, capped at 64× the base.
+                let shift = (restarts - 1).min(6);
+                std::thread::sleep(std::time::Duration::from_millis(backoff_ms << shift));
+            }
+            let (lineage, frames) = self.spawn_lineage(shard, state, base);
+            let s = &mut self.shards[shard];
+            let Some(r) = s.recovery.as_mut() else { return false };
+            r.restarts = restarts;
+            if let Some(frames) = frames {
+                r.frames = frames;
+            }
+            s.handle = Some(lineage.handle);
             // Only batches are replayed — epoch markers are not logged,
             // so a healed lineage never re-contributes to an old epoch.
-            let replay = self.shards[shard].log.replay_from(base);
             let mut newly_flushed: Vec<u64> = Vec::new();
             let mut replayed = 0u64;
             let mut died_mid_replay = false;
-            for (_, batch, delivered) in replay {
+            for (_, batch, delivered) in r.log.replay_from(base) {
                 let len = batch.len() as u64;
-                if sender.send(Command::Batch(batch)).is_err() {
+                if lineage.sender.send(Command::Batch(batch)).is_err() {
                     died_mid_replay = true;
                     break;
                 }
@@ -634,344 +482,38 @@ where
                     newly_flushed.push(len);
                 }
             }
-            let s = &mut self.shards[shard];
-            s.handle = Some(handle);
-            s.frames = frames;
             if died_mid_replay {
-                // Sender dropped here; join, harvest, try again.
+                // The replay re-killed the worker: harvest, try again.
+                drop(lineage.sender);
                 self.join_lineage(shard);
                 continue;
             }
-            s.sender = Some(sender);
-            s.log.mark_all_delivered();
-            if let Some(o) = &obs {
+            s.sender = Some(lineage.sender);
+            r.log.mark_all_delivered();
+            let words = r.log.words() as u64;
+            if let Some(o) = &self.config.observer {
                 // First-successful-handoff accounting: batches the dead
                 // lineage already flushed are not re-counted; batches
                 // delivered for the first time by this replay are.
+                let tick = self.router.tick();
                 for len in newly_flushed {
-                    o.on_flush(self.router.tick(), shard, len, len >= self.config.batch_size as u64);
+                    o.on_flush(tick, shard, len, len >= self.config.batch_size as u64);
                 }
-                o.on_shard_restart(self.router.tick(), shard, replayed, sw.elapsed_nanos());
-                o.on_replay_words(shard, self.shards[shard].log.words() as u64);
+                o.on_shard_restart(tick, shard, replayed, sw.elapsed_nanos());
+                o.on_replay_words(shard, words);
             }
             return true;
         }
     }
 
-    /// Brings a down-but-healable lineage back up (used by queries and
-    /// finish). Terminal shards stay down.
-    fn ensure_live(&mut self, shard: usize) {
+    /// Brings a down-but-healable lineage back up before a snapshot,
+    /// publish, or retirement. Terminal shards stay down.
+    pub(crate) fn ensure_live(&mut self, shard: usize) {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
-        if self.shards[shard].terminal.is_none() && self.shards[shard].sender.is_none() {
+        let s = &self.shards[shard];
+        if !s.dead && s.sender.is_none() {
             self.heal(shard);
         }
-    }
-
-    /// The first terminal shard as a reason-carrying error.
-    fn first_dead_error(&self) -> Option<EngineError> {
-        self.shards.iter().enumerate().find_map(|(shard, s)| {
-            s.terminal.as_ref().map(|reason| EngineError::ShardDead {
-                shard,
-                reason: Some(reason.clone()),
-            })
-        })
-    }
-
-    /// Snapshots every live shard in place (healing down lineages
-    /// first) in shard order; `None` = terminal.
-    fn snapshot_states(&mut self) -> Vec<Option<E>> {
-        let mut states: Vec<Option<E>> = Vec::with_capacity(self.config.shards);
-        for shard in 0..self.config.shards {
-            self.ensure_live(shard);
-            // One heal-and-retry: the worker can die between the heal
-            // above and the snapshot reply.
-            let mut state = self.request_snapshot(shard);
-            if state.is_none() && self.shards[shard].terminal.is_none() {
-                self.join_lineage(shard);
-                if self.heal(shard) {
-                    state = self.request_snapshot(shard);
-                }
-            }
-            states.push(state);
-        }
-        states
-    }
-
-    fn request_snapshot(&mut self, shard: usize) -> Option<E> {
-        debug_assert!(shard < self.shards.len(), "shard index computed by the router");
-        let tx = self.shards[shard].sender.as_ref()?;
-        let (reply_tx, reply_rx) = channel();
-        tx.send(Command::Snapshot(reply_tx)).ok()?;
-        reply_rx.recv().ok()
-    }
-
-    /// Anytime query: flushes, snapshots every shard (healing any that
-    /// are down), and merges. Strict: refuses with
-    /// [`EngineError::ShardDead`] when any shard is terminally dead.
-    pub fn query(&mut self) -> Result<E, EngineError> {
-        self.flush();
-        let states = self.snapshot_states();
-        if let Some(err) = self.first_dead_error() {
-            return Err(err);
-        }
-        if let Some(o) = self.obs() {
-            o.on_merge(self.router.tick(), self.config.shards as u64);
-        }
-        merge_all(states).ok_or(EngineError::AllShardsDead)
-    }
-
-    /// Lossy anytime query: merges the live shards and names the
-    /// terminal ones. Errs only when nothing survives.
-    pub fn query_degraded(&mut self) -> Result<Degraded<E>, EngineError> {
-        self.flush();
-        let states = self.snapshot_states();
-        let dead_shards = self.dead_shard_indices();
-        if let Some(o) = self.obs() {
-            o.on_merge(self.router.tick(), (self.config.shards - dead_shards.len()) as u64);
-            if !dead_shards.is_empty() {
-                o.on_query_degraded(self.router.tick(), dead_shards.len() as u64);
-            }
-        }
-        match merge_all(states) {
-            Some(estimator) => Ok(Degraded { estimator, dead_shards }),
-            None => Err(EngineError::AllShardsDead),
-        }
-    }
-
-    /// Lossy anytime query packaged as a typed [`QueryReport`] — same
-    /// contract as
-    /// [`ShardedEngine::report`](crate::ShardedEngine::report), healing
-    /// through worker deaths first. Always a fresh synchronous merge
-    /// (`epoch: None`); see [`ReadHandle::report`] for the
-    /// published-view flavour.
-    ///
-    /// # Errors
-    ///
-    /// Only when no shard survives.
-    pub fn report(&mut self, contract: Option<Guarantee>) -> Result<QueryReport, EngineError>
-    where
-        E: Estimate + SpaceUsage,
-    {
-        let degraded = self.query_degraded()?;
-        let space_words = self.space_words();
-        Ok(QueryReport {
-            estimate: degraded.estimator.estimate(),
-            approx_contract: contract,
-            space_words,
-            degraded: degraded.dead_shards,
-            epoch: None,
-            staleness: 0,
-            obs: self.config.observer.as_ref().map(|o| Box::new(o.snapshot())),
-        })
-    }
-
-    /// Freezes the supervised engine into the *same*
-    /// [`EngineCheckpoint`] format the plain engine uses — heal first,
-    /// strict snapshot, geometry + offset. A checkpoint taken here is
-    /// restorable by
-    /// [`ShardedEngine::restore`](crate::ShardedEngine::restore)
-    /// (supervision state — replay logs, restart budgets — is
-    /// transient and deliberately not persisted).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::ShardDead`] when any shard is terminal or a
-    /// snapshot cannot be obtained.
-    pub fn checkpoint(&mut self) -> Result<EngineCheckpoint<E>, EngineError> {
-        let sw = Stopwatch::start();
-        self.flush();
-        let states = self.snapshot_states();
-        if let Some(err) = self.first_dead_error() {
-            return Err(err);
-        }
-        if let Some(missing) = states.iter().position(Option::is_none) {
-            return Err(EngineError::shard_dead(missing));
-        }
-        let shards: Vec<E> = states.into_iter().flatten().collect();
-        if let Some(o) = self.obs() {
-            o.on_checkpoint(self.router.tick(), shards.len() as u64, sw.elapsed_nanos());
-        }
-        Ok(EngineCheckpoint {
-            config: self.config.clone(),
-            tick: self.router.tick(),
-            shards,
-        })
-    }
-
-    /// Retires the engine: flushes, heals anything healable, joins all
-    /// workers (healing once more if a worker dies on its final
-    /// batches), and merges. Strict like
-    /// [`ShardedEngine::finish`](crate::ShardedEngine::finish).
-    pub fn finish(mut self) -> Result<E, EngineError> {
-        let states = self.join_all();
-        if let Some(err) = self.first_dead_error() {
-            return Err(err);
-        }
-        merge_all(states).ok_or(EngineError::AllShardsDead)
-    }
-
-    /// Lossy retirement: merges surviving shards, names terminal ones.
-    pub fn finish_degraded(mut self) -> Result<Degraded<E>, EngineError> {
-        let states = self.join_all();
-        let dead_shards = self.dead_shard_indices();
-        match merge_all(states) {
-            Some(estimator) => Ok(Degraded { estimator, dead_shards }),
-            None => Err(EngineError::AllShardsDead),
-        }
-    }
-
-    fn join_all(&mut self) -> Vec<Option<E>> {
-        self.flush();
-        let mut states: Vec<Option<E>> = Vec::with_capacity(self.config.shards);
-        for shard in 0..self.config.shards {
-            states.push(self.final_state(shard));
-        }
-        states
-    }
-
-    /// Retires one shard for its final state, healing through
-    /// last-batch deaths until the budget gives out.
-    fn final_state(&mut self, shard: usize) -> Option<E> {
-        loop {
-            if self.shards[shard].terminal.is_some() {
-                return None;
-            }
-            self.ensure_live(shard);
-            let s = &mut self.shards[shard];
-            s.sender = None; // worker drains its queue and returns
-            let Some(handle) = s.handle.take() else {
-                self.terminal(shard, "worker lineage unavailable at finish");
-                return None;
-            };
-            match handle.join() {
-                Ok(state) => {
-                    self.drain_frames(shard); // final frame accounting
-                    return Some(state);
-                }
-                Err(payload) => {
-                    let obs = self.obs();
-                    let s = &mut self.shards[shard];
-                    s.deaths += 1;
-                    s.last_reason = Some(panic_message(payload.as_ref()));
-                    if let Some(o) = &obs {
-                        o.on_shard_panicked(self.router.tick(), shard, s.deaths);
-                    }
-                    self.drain_frames(shard);
-                    if !self.heal(shard) {
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The [`Engine`] verb set, delegating to the inherent methods — the
-/// supervised engine is the self-healing policy behind the unified
-/// interface. (The extra `Snapshot` bound is what buys the healing.)
-impl<E, T> Engine<T> for SupervisedEngine<E, T>
-where
-    E: BatchIngest<T>
-        + Mergeable
-        + Snapshot
-        + Estimate
-        + SpaceUsage
-        + Clone
-        + Send
-        + Sync
-        + 'static,
-    T: Routable + Clone + Send + 'static,
-{
-    type Output = E;
-    type Error = EngineError;
-    type Checkpoint = EngineCheckpoint<E>;
-    type Report = QueryReport;
-
-    fn ingest(&mut self, item: T) {
-        SupervisedEngine::ingest(self, item);
-    }
-
-    fn ingest_batch(&mut self, items: &[T])
-    where
-        T: Copy,
-    {
-        SupervisedEngine::ingest_batch(self, items);
-    }
-
-    fn flush(&mut self) {
-        SupervisedEngine::flush(self);
-    }
-
-    fn query(&mut self) -> Result<E, EngineError> {
-        SupervisedEngine::query(self)
-    }
-
-    fn query_degraded(&mut self) -> Result<Degraded<E>, EngineError> {
-        SupervisedEngine::query_degraded(self)
-    }
-
-    fn report(&mut self, contract: Option<Guarantee>) -> Result<QueryReport, EngineError> {
-        SupervisedEngine::report(self, contract)
-    }
-
-    fn checkpoint(&mut self) -> Result<EngineCheckpoint<E>, EngineError> {
-        SupervisedEngine::checkpoint(self)
-    }
-
-    fn finish(self) -> Result<E, EngineError> {
-        SupervisedEngine::finish(self)
-    }
-
-    fn finish_degraded(self) -> Result<Degraded<E>, EngineError> {
-        SupervisedEngine::finish_degraded(self)
-    }
-
-    fn stream_offset(&self) -> u64 {
-        SupervisedEngine::stream_offset(self)
-    }
-
-    fn dead_shard_indices(&self) -> Vec<usize> {
-        SupervisedEngine::dead_shard_indices(self)
-    }
-}
-
-/// Steady-state space versus transient recovery space: shard
-/// estimators, channels, and router buffers are `space_words` (the
-/// ledger comparable with the paper's bounds); replay logs are
-/// `scratch_words` — bounded transient state that exists only to make
-/// recovery exact.
-impl<E, T> SpaceUsage for SupervisedEngine<E, T>
-where
-    E: BatchIngest<T> + Mergeable + Snapshot + Clone + Send + Sync + SpaceUsage + 'static,
-    T: Routable + Clone + Send + 'static,
-{
-    fn space_words(&self) -> usize {
-        let item_words = std::mem::size_of::<T>().div_ceil(std::mem::size_of::<u64>());
-        let frame_words: usize = self
-            .shards
-            .iter()
-            .filter_map(|s| s.frame.as_ref())
-            .map(|f| f.bytes.len().div_ceil(std::mem::size_of::<u64>()))
-            .sum();
-        let channel_words =
-            self.config.shards * self.config.queue_depth * self.config.batch_size * item_words;
-        frame_words + channel_words + self.router.buffered_items() * item_words
-    }
-
-    fn scratch_words(&self) -> usize {
-        self.shards.iter().map(|s| s.log.words()).sum()
-    }
-}
-
-impl<E, T> Drop for SupervisedEngine<E, T> {
-    fn drop(&mut self) {
-        for s in &mut self.shards {
-            s.sender = None;
-            if let Some(handle) = s.handle.take() {
-                let _ = handle.join();
-            }
-        }
-        // `plane` drops with the struct, after the joins above.
     }
 }
 
@@ -980,7 +522,7 @@ mod tests {
     use super::*;
     use crate::tests::Exploding;
     use hindex_baseline::CashTable;
-    use hindex_common::{CashRegisterEstimator, Estimate};
+    use hindex_common::{CashRegisterEstimator, Estimate, SpaceUsage};
 
     fn staircase(papers: u64, rounds: u64) -> Vec<(u64, u64)> {
         (0..rounds).flat_map(|_| (0..papers).map(|p| (p, 1))).collect()
@@ -995,51 +537,54 @@ mod tests {
         }
     }
 
+    fn restart(sup: SupervisorConfig, plan: FaultPlan) -> Supervision {
+        Supervision::Restart(sup, plan)
+    }
+
+    fn supervised<E>(
+        config: EngineConfig,
+        sup: SupervisorConfig,
+        proto: E,
+    ) -> ShardedEngine<E, (u64, u64)>
+    where
+        E: BatchIngest<(u64, u64)> + Mergeable + Snapshot + Clone + Send + Sync + 'static,
+    {
+        ShardedEngine::with_policy(config, restart(sup, FaultPlan::none()), proto).unwrap()
+    }
+
+    /// Serial reference: merge-equivalent state for a staircase run.
+    fn serial(updates: &[(u64, u64)]) -> CashTable {
+        let mut t = CashTable::new();
+        for &(i, z) in updates {
+            t.ingest(i, z);
+        }
+        t
+    }
+
     #[test]
     fn fault_free_supervised_run_matches_plain() {
         let updates = staircase(40, 30);
-        let mut plain = ShardedEngineRef::run(&updates);
-        let mut engine =
-            SupervisedEngine::new(small_config(3), SupervisorConfig::default(), CashTable::new())
-                .unwrap();
+        let plain = serial(&updates);
+        let mut engine = supervised(small_config(3), SupervisorConfig::default(), CashTable::new());
         engine.ingest_batch(&updates);
         let merged = engine.finish().unwrap();
         assert_eq!(merged.frame_digest(), plain.frame_digest());
         // Anytime queries work too.
-        let mut engine =
-            SupervisedEngine::new(small_config(3), SupervisorConfig::default(), CashTable::new())
-                .unwrap();
+        let mut engine = supervised(small_config(3), SupervisorConfig::default(), CashTable::new());
         engine.ingest_batch(&updates);
         assert_eq!(engine.query().unwrap().estimate(), plain.estimate());
-        let _ = &mut plain;
-    }
-
-    /// Serial reference: merge-equivalent state for a staircase run.
-    struct ShardedEngineRef;
-    impl ShardedEngineRef {
-        fn run(updates: &[(u64, u64)]) -> CashTable {
-            let mut t = CashTable::new();
-            for &(i, z) in updates {
-                t.ingest(i, z);
-            }
-            t
-        }
     }
 
     #[test]
     fn kill_sweep_recovers_bit_identically() {
         let updates = staircase(40, 40);
-        let clean = ShardedEngineRef::run(&updates);
+        let clean = serial(&updates);
         for shards in [1usize, 2, 4] {
             let plan = FaultPlan::kill_sweep(shards, 100, 317);
             assert!(plan.kills_every_shard(shards));
-            let mut engine = SupervisedEngine::with_faults(
-                small_config(shards),
-                SupervisorConfig::default(),
-                plan,
-                CashTable::new(),
-            )
-            .unwrap();
+            let policy = restart(SupervisorConfig::default(), plan);
+            let mut engine =
+                ShardedEngine::with_policy(small_config(shards), policy, CashTable::new()).unwrap();
             engine.ingest_batch(&updates);
             assert_eq!(engine.dead_shard_indices(), Vec::<usize>::new());
             let merged = engine.finish().unwrap();
@@ -1054,20 +599,16 @@ mod tests {
     #[test]
     fn every_fault_kind_recovers_exactly() {
         let updates = staircase(40, 40);
-        let clean = ShardedEngineRef::run(&updates);
+        let clean = serial(&updates);
         let plan = FaultPlan::parse(
             "kill@100:0, fail@300:1=2, stall@200:2=5, corrupt@400:0, kill@900:0",
             3,
             updates.len() as u64,
         )
         .unwrap();
-        let mut engine = SupervisedEngine::with_faults(
-            small_config(3),
-            SupervisorConfig::default(),
-            plan,
-            CashTable::new(),
-        )
-        .unwrap();
+        let policy = restart(SupervisorConfig::default(), plan);
+        let mut engine =
+            ShardedEngine::with_policy(small_config(3), policy, CashTable::new()).unwrap();
         engine.ingest_batch(&updates);
         let merged = engine.finish().unwrap();
         assert_eq!(merged.frame_digest(), clean.frame_digest());
@@ -1084,9 +625,7 @@ mod tests {
             ..EngineConfig::default()
         };
         let sup = SupervisorConfig { max_restarts: 2, ..SupervisorConfig::default() };
-        let mut engine =
-            SupervisedEngine::with_faults(config, sup, FaultPlan::none(), Exploding::default())
-                .unwrap();
+        let mut engine = supervised(config, sup, Exploding::default());
         for k in 0..8u64 {
             engine.ingest((k, 1));
         }
@@ -1120,7 +659,7 @@ mod tests {
         };
         let plan = FaultPlan::parse("fail@0:0=1000", 1, 10_000).unwrap();
         let mut engine =
-            SupervisedEngine::with_faults(config, sup, plan, CashTable::new()).unwrap();
+            ShardedEngine::with_policy(config, restart(sup, plan), CashTable::new()).unwrap();
         for k in 0..200u64 {
             engine.ingest((k, 1));
         }
@@ -1144,7 +683,7 @@ mod tests {
         let sup = SupervisorConfig { checkpoint_interval: 1 << 40, ..SupervisorConfig::default() };
         let plan = FaultPlan::parse("corrupt@0:0, kill@50:0", 1, 10_000).unwrap();
         let mut engine =
-            SupervisedEngine::with_faults(config, sup, plan, CashTable::new()).unwrap();
+            ShardedEngine::with_policy(config, restart(sup, plan), CashTable::new()).unwrap();
         for k in 0..200u64 {
             engine.ingest((k % 10, 1));
         }
@@ -1159,8 +698,7 @@ mod tests {
     #[test]
     fn replay_log_reports_as_scratch_not_space() {
         let sup = SupervisorConfig { checkpoint_interval: 1 << 40, ..SupervisorConfig::default() };
-        let mut engine =
-            SupervisedEngine::new(small_config(2), sup, CashTable::new()).unwrap();
+        let mut engine = supervised(small_config(2), sup, CashTable::new());
         for k in 0..500u64 {
             engine.ingest((k, 1));
         }
@@ -1173,20 +711,18 @@ mod tests {
     }
 
     #[test]
-    fn supervised_checkpoint_restores_into_plain_engine() {
+    fn supervised_checkpoint_restores_into_fail_hard_engine() {
         let updates = staircase(40, 30);
-        let serial = ShardedEngineRef::run(&updates);
-        let mut engine =
-            SupervisedEngine::new(small_config(3), SupervisorConfig::default(), CashTable::new())
-                .unwrap();
+        let serial = serial(&updates);
+        let mut engine = supervised(small_config(3), SupervisorConfig::default(), CashTable::new());
         let cut = updates.len() / 2;
         engine.ingest_batch(&updates[..cut]);
         let checkpoint = engine.checkpoint().unwrap();
         assert_eq!(checkpoint.stream_offset(), cut as u64);
         drop(engine);
-        // Cross-policy recovery: a supervised checkpoint resumes on the
-        // plain engine (same format, same routing, same offset).
-        let mut resumed = crate::ShardedEngine::restore(checkpoint).unwrap();
+        // Cross-policy recovery: a supervised checkpoint resumes on a
+        // fail-hard engine (same format, same routing, same offset).
+        let mut resumed = ShardedEngine::restore(checkpoint).unwrap();
         resumed.ingest_batch(&updates[cut..]);
         let merged = resumed.finish().unwrap();
         assert_eq!(merged.frame_digest(), serial.frame_digest());
@@ -1195,13 +731,12 @@ mod tests {
     #[test]
     fn supervised_read_plane_publishes_clean_views() {
         let updates = staircase(40, 40);
-        let serial = ShardedEngineRef::run(&updates);
+        let serial = serial(&updates);
         let config = EngineConfig {
             publish_interval: Some(300),
             ..small_config(2)
         };
-        let mut engine =
-            SupervisedEngine::new(config, SupervisorConfig::default(), CashTable::new()).unwrap();
+        let mut engine = supervised(config, SupervisorConfig::default(), CashTable::new());
         let reader = engine.read_handle().unwrap();
         engine.ingest_batch(&updates);
         let epoch = engine.publish_now().unwrap();

@@ -32,7 +32,6 @@
 #![deny(missing_docs)]
 
 pub mod countmin;
-pub mod countsketch;
 pub mod dgim;
 #[cfg(feature = "debug_invariants")]
 pub mod digest;
@@ -45,7 +44,6 @@ pub mod reservoir;
 pub mod sparse;
 
 pub use countmin::CountMin;
-pub use countsketch::CountSketch;
 pub use dgim::Dgim;
 pub use hyperloglog::HyperLogLog;
 pub use distinct::{Bjkst, DistinctCounter, Kmv};

@@ -52,7 +52,7 @@ pub mod prelude {
     pub use hindex_core::prelude::*;
     pub use hindex_engine::{
         BatchIngest, Degraded, Engine, EngineCheckpoint, EngineConfig, EngineError, FaultKind,
-        FaultPlan, QueryReport, ReadHandle, ReadView, Routable, ShardedEngine, SupervisedEngine,
+        FaultPlan, QueryReport, ReadHandle, ReadView, Routable, ShardedEngine, Supervision,
         SupervisorConfig,
     };
     pub use hindex_obs::{EngineObserver, Event, EventKind, MetricsSnapshot, Tracer};

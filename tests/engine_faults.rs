@@ -58,10 +58,9 @@ fn chaotic_run(
     plan: FaultPlan,
 ) -> (u64, Vec<u64>, Vec<Event>) {
     let observer = Arc::new(EngineObserver::new(shards));
-    let mut engine = SupervisedEngine::with_faults(
+    let mut engine = ShardedEngine::with_policy(
         config(shards, Some(Arc::clone(&observer))),
-        SupervisorConfig::default(),
-        plan,
+        Supervision::Restart(SupervisorConfig::default(), plan),
         sketch_proto(seed),
     )
     .unwrap();
@@ -132,9 +131,12 @@ fn kill_and_heal_never_publishes_a_non_healed_view() {
         .unwrap();
     let plan = FaultPlan::kill_sweep(shards, 200, 400);
     assert!(plan.kills_every_shard(shards));
-    let mut engine =
-        SupervisedEngine::with_faults(cfg, SupervisorConfig::default(), plan, CashTable::new())
-            .unwrap();
+    let mut engine = ShardedEngine::with_policy(
+        cfg,
+        Supervision::Restart(SupervisorConfig::default(), plan),
+        CashTable::new(),
+    )
+    .unwrap();
     let handle = engine.read_handle().expect("publish_interval set");
     let stop = Arc::new(AtomicBool::new(false));
     let reader = {
@@ -192,7 +194,8 @@ fn terminal_shard_error_carries_the_panic_payload() {
     let sup = SupervisorConfig { max_restarts: 0, ..SupervisorConfig::default() };
     let plan = FaultPlan::parse("kill@100:0", 2, 1_000).unwrap();
     let mut engine =
-        SupervisedEngine::with_faults(config(2, None), sup, plan, sketch_proto(1)).unwrap();
+        ShardedEngine::with_policy(config(2, None), Supervision::Restart(sup, plan), sketch_proto(1))
+            .unwrap();
     engine.ingest_batch(&updates);
     let err = engine.finish().unwrap_err();
     let msg = err.to_string();

@@ -29,6 +29,15 @@ fn prototype(seed: u64) -> CashRegisterHIndex {
 /// checkpoint once, finish. Returns the metrics snapshot and the
 /// final estimate.
 fn instrumented_run(updates: &[(u64, u64)], seed: u64) -> (MetricsSnapshot, u64) {
+    instrumented_run_with(updates, seed, Supervision::FailHard)
+}
+
+/// [`instrumented_run`] under an explicit supervision policy.
+fn instrumented_run_with(
+    updates: &[(u64, u64)],
+    seed: u64,
+    policy: Supervision,
+) -> (MetricsSnapshot, u64) {
     let observer = Arc::new(EngineObserver::new(3));
     let config = EngineConfig::builder()
         .shards(3)
@@ -36,7 +45,7 @@ fn instrumented_run(updates: &[(u64, u64)], seed: u64) -> (MetricsSnapshot, u64)
         .observer(Arc::clone(&observer))
         .build()
         .unwrap();
-    let mut engine = ShardedEngine::new(config, prototype(seed));
+    let mut engine = ShardedEngine::with_policy(config, policy, prototype(seed)).unwrap();
     let cut = updates.len() / 2;
     engine.ingest_batch(&updates[..cut]);
     engine.ingest_batch(&updates[cut..]);
@@ -130,6 +139,12 @@ fn bank_counters_flow_from_estimator_to_observer() {
         .iter()
         .any(|e| e.kind == hindex_obs::EventKind::BankBatch));
     assert!(snap.render_text().contains("hindex_bank_tiles_total"));
+    // Both supervision policies answer through the same query path, so
+    // on a fault-free stream the supervised relay reports the same
+    // bank counters as the fail-hard one.
+    let policy = Supervision::Restart(SupervisorConfig::default(), FaultPlan::none());
+    let (supervised, _) = instrumented_run_with(&updates, 7, policy);
+    assert_eq!(supervised.bank, bank);
 }
 
 #[test]
@@ -264,7 +279,8 @@ fn lost_batches_are_counted_lost_not_flushed() {
     // routed to the dead shard afterwards must be counted lost.
     let sup = SupervisorConfig { max_restarts: 0, ..SupervisorConfig::default() };
     let plan = FaultPlan::parse("kill@500:1", 2, 2_000).unwrap();
-    let mut engine = SupervisedEngine::with_faults(config, sup, plan, prototype(3)).unwrap();
+    let mut engine =
+        ShardedEngine::with_policy(config, Supervision::Restart(sup, plan), prototype(3)).unwrap();
     engine.ingest_batch(&updates);
     engine.flush();
     let degraded = engine.finish_degraded().unwrap();

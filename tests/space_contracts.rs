@@ -343,7 +343,12 @@ fn supervised_replay_log_is_scratch_not_space() {
         ..hindex_engine::SupervisorConfig::default()
     };
     let mut engine =
-        hindex_engine::SupervisedEngine::new(config, sup, CashTable::new()).unwrap();
+        hindex_engine::ShardedEngine::with_policy(
+            config,
+            hindex_engine::Supervision::Restart(sup, hindex_engine::FaultPlan::none()),
+            CashTable::new(),
+        )
+        .unwrap();
     for i in 0..2_000u64 {
         engine.ingest((i % 97, 1));
     }
