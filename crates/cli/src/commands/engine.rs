@@ -5,7 +5,7 @@
 //! only change the [`Supervision`] policy it is built with.
 
 use crate::args::Parsed;
-use crate::io::read_updates;
+use crate::io::read_cash_updates;
 use hindex_baseline::CashTable;
 use hindex_common::{
     ApproxKind, Delta, Epsilon, Estimate, Guarantee, Mergeable, Snapshot, SpaceUsage,
@@ -57,13 +57,11 @@ pub fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
     let faults_spec = parsed.str_or("faults", "").to_string();
     let supervise = !faults_spec.is_empty()
         || matches!(parsed.str_or("supervise", "off"), "on" | "true" | "1");
-    let raw = read_updates(input)?;
-    if raw.iter().any(|&(_, d)| d < 0) {
-        return Err("engine ingests cash-register streams only (no negative deltas); \
-                    use `hindex cash` for turnstile data"
-            .into());
-    }
-    let updates: Vec<(u64, u64)> = raw.iter().map(|&(p, d)| (p, d as u64)).collect();
+    let updates = read_cash_updates(
+        input,
+        "engine ingests cash-register streams only (no negative deltas); \
+         use `hindex cash` for turnstile data",
+    )?;
     let mut builder = EngineConfig::builder().shards(shards).batch(batch);
     if publish > 0 {
         builder = builder.publish_interval(publish);
@@ -331,6 +329,19 @@ mod tests {
             .and_then(|v| v.trim().parse().ok())
             .unwrap();
         assert!((20..=40).contains(&h), "estimate {h}");
+    }
+
+    #[test]
+    fn negative_delta_rejected_after_every_line_parses() {
+        let err = run_str(&["engine", "--algorithm", "exact"], "1 2\n3 -1\n4 5\n").unwrap_err();
+        assert_eq!(
+            err,
+            "engine ingests cash-register streams only (no negative deltas); \
+             use `hindex cash` for turnstile data"
+        );
+        // A malformed line further on is reported first.
+        let err = run_str(&["engine", "--algorithm", "exact"], "3 -1\n4 x\n").unwrap_err();
+        assert_eq!(err, "line 2: expected `paper delta`, got `4 x`");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! event trace can be appended with `--trace K`.
 
 use crate::args::Parsed;
-use crate::io::read_updates;
+use crate::io::read_cash_updates;
 use hindex_baseline::CashTable;
 use hindex_engine::{EngineConfig, ShardedEngine};
 use hindex_obs::EngineObserver;
@@ -24,11 +24,10 @@ pub fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
     let batch = parsed.u64_or("batch", 64)? as usize;
     let n = parsed.u64_or("n", 10_000)?;
     let trace = parsed.u64_or("trace", 0)? as usize;
-    let raw = read_updates(input)?;
-    if raw.iter().any(|&(_, d)| d < 0) {
-        return Err("metrics ingests cash-register streams only (no negative deltas)".into());
-    }
-    let mut updates: Vec<(u64, u64)> = raw.iter().map(|&(p, d)| (p, d as u64)).collect();
+    let mut updates = read_cash_updates(
+        input,
+        "metrics ingests cash-register streams only (no negative deltas)",
+    )?;
     if updates.is_empty() {
         // Deterministic synthetic workload: n updates over 300 papers.
         updates = (0..n).map(|k| (k % 300, 1)).collect();
@@ -87,6 +86,17 @@ mod tests {
         let stream = "1 5\n2 4\n3 3\n";
         let out = run_str(&["metrics", "--shards", "2", "--batch", "2"], stream).unwrap();
         assert!(out.contains("hindex_engine_items_total 3"), "{out}");
+    }
+
+    #[test]
+    fn negative_delta_rejected_after_every_line_parses() {
+        let err = run_str(&["metrics"], "1 2\n3 -1\n").unwrap_err();
+        assert_eq!(
+            err,
+            "metrics ingests cash-register streams only (no negative deltas)"
+        );
+        let err = run_str(&["metrics"], "3 -1\n4 5 6\n").unwrap_err();
+        assert_eq!(err, "line 2: trailing tokens in `4 5 6`");
     }
 
     #[test]

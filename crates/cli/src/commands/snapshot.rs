@@ -8,7 +8,7 @@
 //! never interrupted (same seed, same routing).
 
 use crate::args::Parsed;
-use crate::io::read_updates;
+use crate::io::read_cash_updates;
 use hindex_baseline::CashTable;
 use hindex_common::snapshot::Snapshot;
 use hindex_common::{CashRegisterEstimator, Delta, Epsilon, Mergeable};
@@ -20,15 +20,8 @@ use rand::SeedableRng;
 use std::io::Read;
 use std::sync::Arc;
 
-/// Parses a non-negative cash-register update stream.
-fn read_stream(input: &mut dyn Read) -> Result<Vec<(u64, u64)>, String> {
-    let raw = read_updates(input)?;
-    if raw.iter().any(|&(_, d)| d < 0) {
-        return Err("snapshot/restore ingest cash-register streams only (no negative deltas)"
-            .into());
-    }
-    Ok(raw.iter().map(|&(p, d)| (p, d as u64)).collect())
-}
+/// Why `snapshot` and `restore` refuse a stream with a negative delta.
+const NEGATIVE: &str = "snapshot/restore ingest cash-register streams only (no negative deltas)";
 
 /// Runs the `snapshot` subcommand: ingest `--cut` updates (default:
 /// all of them), checkpoint, and write the frame to `--out`.
@@ -44,7 +37,7 @@ pub fn run_snapshot(parsed: &Parsed, input: &mut dyn Read) -> Result<String, Str
     let seed = parsed.u64_or("seed", 0)?;
     let shards = parsed.u64_or("shards", 4)? as usize;
     let batch = parsed.u64_or("batch", 1024)? as usize;
-    let updates = read_stream(input)?;
+    let updates = read_cash_updates(input, NEGATIVE)?;
     let cut = match parsed.u64_opt("cut")? {
         Some(c) => {
             let c = c as usize;
@@ -124,7 +117,7 @@ pub fn run_restore(parsed: &Parsed, input: &mut dyn Read) -> Result<String, Stri
     let algorithm = parsed.str_or("algorithm", "sketch").to_string();
     let bytes =
         std::fs::read(&in_path).map_err(|e| format!("cannot read `{in_path}`: {e}"))?;
-    let updates = read_stream(input)?;
+    let updates = read_cash_updates(input, NEGATIVE)?;
 
     let (estimate, offset, replayed, shards) = match algorithm.as_str() {
         "sketch" => restore_and_replay::<CashRegisterHIndex>(&bytes, &updates)?,
@@ -270,6 +263,28 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("--cut"), "{err}");
+    }
+
+    #[test]
+    fn negative_delta_rejected_after_every_line_parses() {
+        let message = "snapshot/restore ingest cash-register streams only (no negative deltas)";
+        let err = run_str(&["snapshot", "--out", "/dev/null"], "1 2\n3 -1\n").unwrap_err();
+        assert_eq!(err, message);
+        let path = scratch("negative.ckpt");
+        run_str(
+            &["snapshot", "--algorithm", "exact", "--out", &path],
+            "1 2\n",
+        )
+        .unwrap();
+        let err = run_str(
+            &["restore", "--algorithm", "exact", "--in", &path],
+            "1 2\n3 -1\n",
+        )
+        .unwrap_err();
+        assert_eq!(err, message);
+        let err = run_str(&["snapshot", "--out", "/dev/null"], "3 -1\nx 1\n").unwrap_err();
+        assert_eq!(err, "line 2: expected `paper delta`, got `x 1`");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -96,3 +96,24 @@ fn cash_turnstile_detection() {
     assert!(stdout.contains("turnstile"), "{stdout}");
     assert!(stdout.contains("h-index   : 2"), "{stdout}");
 }
+
+#[test]
+fn engine_digest_ignores_line_endings_tabs_and_comments() {
+    let updates: Vec<(u64, u64)> = (0..400u64).map(|k| (k % 37, 1 + k % 3)).collect();
+    let plain: String = updates.iter().map(|(p, d)| format!("{p} {d}\n")).collect();
+    let mut decorated = String::from("# paper delta\r\n\r\n");
+    for (i, (p, d)) in updates.iter().enumerate() {
+        let comment = if i % 5 == 0 { " # note" } else { "" };
+        decorated.push_str(&format!("\t{p}\t \t{d}{comment}\r\n"));
+    }
+    let digest = |stdin: &str| {
+        let (stdout, stderr, ok) = run(&["engine", "--seed", "3", "--shards", "2"], stdin);
+        assert!(ok, "{stderr}");
+        stdout
+            .lines()
+            .find(|l| l.starts_with("digest"))
+            .map(str::to_owned)
+            .expect("digest line")
+    };
+    assert_eq!(digest(&plain), digest(&decorated));
+}

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Runs the full throughput bench and writes a machine-readable summary
-# to BENCH_pr7.json at the repo root (override with $1).
+# to target/bench.json (override with $1). The default is build output
+# on purpose: the committed BENCH_*.json files are baselines (the
+# check.sh perf smoke reads BENCH_pr7.json), so a plain run must never
+# overwrite one.
 #
 # JSON schema ("hindex-bench/v1"):
 #
@@ -45,7 +48,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="BENCH_pr7.json"
+OUT="target/bench.json"
 EXTRA=()
 FULL=1
 for arg in "$@"; do
@@ -57,6 +60,7 @@ for arg in "$@"; do
 done
 
 echo "==> throughput bench -> ${OUT}"
+mkdir -p "$(dirname "${OUT}")"
 # Cargo runs the bench binary with the package dir as cwd; absolutize
 # so the JSON lands where the caller asked, not in crates/bench/.
 case "${OUT}" in

@@ -62,7 +62,7 @@ fn concurrent_readers_observe_only_exact_serial_prefixes() {
             std::thread::spawn(move || {
                 let mut last_epoch = 0u64;
                 let mut observed = 0u64;
-                while !s.load(Ordering::Relaxed) {
+                let mut check = || {
                     if let Some(view) = h.query() {
                         assert!(
                             view.epoch() >= last_epoch,
@@ -78,8 +78,15 @@ fn concurrent_readers_observe_only_exact_serial_prefixes() {
                         );
                         observed += 1;
                     }
+                };
+                while !s.load(Ordering::Acquire) {
+                    check();
                     std::thread::yield_now();
                 }
+                // The final view may have been installed after this
+                // reader's last query but before `stop` was seen: read
+                // once more, under the same checks.
+                check();
                 (observed, last_epoch)
             })
         })
@@ -88,7 +95,9 @@ fn concurrent_readers_observe_only_exact_serial_prefixes() {
     engine.ingest_batch(&updates);
     let final_epoch = engine.publish_now().expect("engine has a read plane");
     assert!(handle.wait_for_epoch(final_epoch, 10_000), "final publish never completed");
-    stop.store(true, Ordering::Relaxed);
+    // Release pairs with the readers' Acquire load: a reader that sees
+    // `stop` also sees the final view this thread waited for.
+    stop.store(true, Ordering::Release);
     for reader in readers {
         let (observed, last_epoch) = reader.join().unwrap();
         assert!(observed > 0, "reader never saw a view");
