@@ -32,7 +32,10 @@
 //!   with 0 vs 4 concurrent readers hammering cloned [`ReadHandle`]s
 //!   (the contract is that readers never cut ingest throughput by
 //!   more than ~10%), plus single-reader query latency on a live
-//!   published view.
+//!   published view;
+//! * `snapshot` — the checkpoint codec: `to_bytes`, `frame_digest` and
+//!   `read_from` of an Alg 6 bank at CLI defaults and of the exact
+//!   table.
 //!
 //! Each benchmark runs a fixed number of timed repetitions after a
 //! warm-up pass and reports the *median* wall time, ns per element,
@@ -52,6 +55,7 @@
 
 use hindex_baseline::{AuthorTable, CashTable, FullStore};
 use hindex_bench::workloads::{hh_corpus, zipf_counts};
+use hindex_common::snapshot::Snapshot;
 use hindex_common::{AggregateEstimator, CashRegisterEstimator, Delta, Epsilon, Estimate, IncrementalHIndex};
 use hindex_core::{
     CashRegisterHIndex, CashRegisterParams, ExponentialHistogram, HeavyHitters,
@@ -62,6 +66,8 @@ use hindex_obs::EngineObserver;
 use std::sync::Arc;
 use hindex_sketch::distinct::DistinctCounter;
 use hindex_sketch::{Bjkst, L0Sampler, L0SamplerParams};
+use hindex_stream::generator::planted_h_corpus;
+use hindex_stream::Unaggregator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -294,6 +300,43 @@ fn cash_update() {
         }
         est.estimate()
     });
+}
+
+/// Snapshot codec costs on the state a supervised worker checkpoints:
+/// an Alg 6 bank at CLI defaults (ε = 0.2, δ = 0.1, x = 225) after a
+/// 32k-update prefix of the `planted_h_corpus(150, 400)` stream, and an
+/// exact table over the same prefix. Elements are frame bytes, so
+/// `ns_per_elem` is ns per byte.
+fn snapshot() {
+    let corpus = planted_h_corpus(150, 400, 1);
+    let updates: Vec<(u64, u64)> = Unaggregator::default()
+        .stream(&corpus, &mut StdRng::seed_from_u64(1))
+        .iter()
+        .take(32_000)
+        .map(|u| (u.paper.0, u.delta))
+        .collect();
+    let params = CashRegisterParams::Additive {
+        epsilon: Epsilon::new(0.2).unwrap(),
+        delta: Delta::new(0.1).unwrap(),
+    };
+    let mut bank = CashRegisterHIndex::new(params, &mut StdRng::seed_from_u64(1));
+    bank.ingest_batch(&updates);
+    let bytes = bank.to_bytes();
+    let n = bytes.len() as u64;
+    bench("snapshot", "bank_to_bytes", n, 11, || bank.to_bytes());
+    bench("snapshot", "bank_frame_digest", n, 11, || bank.frame_digest());
+    bench("snapshot", "bank_read_from", n, 5, || {
+        CashRegisterHIndex::read_from(&bytes).unwrap().1
+    });
+    let mut table = CashTable::new();
+    for &(i, d) in &updates {
+        table.ingest(i, d);
+    }
+    let bytes = table.to_bytes();
+    let n = bytes.len() as u64;
+    bench("snapshot", "table_to_bytes", n, 11, || table.to_bytes());
+    bench("snapshot", "table_frame_digest", n, 11, || table.frame_digest());
+    bench("snapshot", "table_read_from", n, 11, || CashTable::read_from(&bytes).unwrap().1);
 }
 
 fn heavy_hitters_push() {
@@ -805,6 +848,7 @@ fn main() {
             "engine_overheads" => engine_overheads(),
             "obs_overhead" => obs_overhead(),
             "read_plane" => read_plane(),
+            "snapshot" => snapshot(),
             other => {
                 eprintln!("unknown --only group `{other}`");
                 std::process::exit(2);
@@ -822,6 +866,7 @@ fn main() {
         engine_overheads();
         obs_overhead();
         read_plane();
+        snapshot();
     }
     if let Some(path) = json {
         write_json(&path);

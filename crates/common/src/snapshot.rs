@@ -47,12 +47,49 @@ const HEADER_LEN: usize = 14;
 /// behind `debug_invariants`; persistence must work in every build).
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_from(FNV_OFFSET, bytes)
+}
+
+/// FNV-1a 64 offset basis (the state of an empty input).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64 prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Continues an FNV-1a state over `bytes`.
+fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Continues `N` independent FNV-1a states over the same bytes (a
+/// slice of any other length is left as is). Each state is its own
+/// multiply chain, so the chains overlap in the pipeline instead of
+/// running one after another.
+fn fnv1a_group<const N: usize>(lanes: &mut [u64], bytes: &[u8]) {
+    let Ok(mut h) = <[u64; N]>::try_from(&*lanes) else { return };
+    for &b in bytes {
+        for s in &mut h {
+            *s = (*s ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+    lanes.copy_from_slice(&h);
+}
+
+/// Continues every state in `states` over `bytes`, in fixed-width
+/// groups of up to four lanes.
+fn fnv1a_lanes(states: &mut [u64], bytes: &[u8]) {
+    for group in states.chunks_mut(4) {
+        match group.len() {
+            4 => fnv1a_group::<4>(group, bytes),
+            3 => fnv1a_group::<3>(group, bytes),
+            2 => fnv1a_group::<2>(group, bytes),
+            _ => fnv1a_group::<1>(group, bytes),
+        }
+    }
 }
 
 /// Why a snapshot failed to decode. Every variant is reachable from
@@ -114,16 +151,23 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// Little-endian payload writer used by [`Snapshot::write_payload`].
+///
+/// Nested frames ([`Writer::put_nested`]) are laid out in place with a
+/// zeroed checksum trailer and recorded; [`Snapshot::write_into`] then
+/// seals every recorded frame in one forward pass over the bytes.
 #[derive(Debug)]
 pub struct Writer<'a> {
     buf: &'a mut Vec<u8>,
+    /// Start of every frame opened so far, in opening order (so
+    /// ascending). A frame's header holds its payload length, which
+    /// locates its 8-byte checksum trailer.
+    frames: Vec<usize>,
 }
 
 impl<'a> Writer<'a> {
     /// Wraps a byte buffer.
-    #[must_use]
-    pub fn new(buf: &'a mut Vec<u8>) -> Self {
-        Self { buf }
+    fn new(buf: &'a mut Vec<u8>) -> Self {
+        Self { buf, frames: Vec::new() }
     }
 
     /// Appends one byte.
@@ -171,10 +215,77 @@ impl<'a> Writer<'a> {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Appends a complete child frame for a nested snapshotable value.
+    /// Appends a complete child frame for a nested snapshotable value:
+    /// header, payload and backpatched length now, the checksum when
+    /// the outermost frame is sealed.
     pub fn put_nested<C: Snapshot>(&mut self, child: &C) {
-        child.write_into(self.buf);
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&SNAPSHOT_MAGIC);
+        self.buf.push(SNAPSHOT_VERSION);
+        self.buf.push(C::TAG);
+        self.buf.extend_from_slice(&[0; 8]); // length backpatched
+        self.frames.push(start);
+        child.write_payload(self);
+        let payload_len = (self.buf.len() - start - HEADER_LEN) as u64;
+        if let Some(len) = self.buf.get_mut(start + 6..start + HEADER_LEN) {
+            len.copy_from_slice(&payload_len.to_le_bytes());
+        }
+        self.buf.extend_from_slice(&[0; 8]); // checksum sealed by `seal`
     }
+
+    /// Writes every recorded frame's FNV-1a checksum into its trailer
+    /// in one forward pass, and returns the digest of the last
+    /// outermost frame (its checksum state continued over its own
+    /// trailer, i.e. [`fnv1a`] over the whole frame).
+    ///
+    /// One state per open frame rides along the pass, so each byte is
+    /// read once however deeply it is nested. A closing frame's
+    /// checksum lands in its trailer before the pass moves on, so the
+    /// enclosing frames hash the sealed trailer bytes.
+    fn seal(self) -> u64 {
+        let Writer { buf, frames } = self;
+        let mut states: Vec<u64> = Vec::new();
+        let mut ends: Vec<usize> = Vec::new();
+        let mut pos = frames.first().copied().unwrap_or(buf.len());
+        let mut digest = FNV_OFFSET;
+        let mut frames = frames.into_iter();
+        loop {
+            let opening = frames.next();
+            // Close every open frame whose payload ends before the next
+            // frame opens (all of them once no frame is left to open).
+            let until = opening.unwrap_or(usize::MAX);
+            while let Some(&end) = ends.last().filter(|&&end| end <= until) {
+                fnv1a_lanes(&mut states, buf.get(pos..end).unwrap_or_default());
+                pos = end;
+                ends.pop();
+                let checksum = states.pop().unwrap_or(FNV_OFFSET).to_le_bytes();
+                if let Some(trailer) = buf.get_mut(end..end + 8) {
+                    trailer.copy_from_slice(&checksum);
+                }
+                if ends.is_empty() {
+                    digest = fnv1a_from(u64::from_le_bytes(checksum), &checksum);
+                }
+            }
+            let Some(start) = opening else { break };
+            fnv1a_lanes(&mut states, buf.get(pos..start).unwrap_or_default());
+            pos = start;
+            let payload_len = buf
+                .get(start + 6..start + HEADER_LEN)
+                .and_then(|len| len.try_into().ok())
+                .map_or(0, u64::from_le_bytes);
+            states.push(FNV_OFFSET);
+            ends.push(start + HEADER_LEN + payload_len as usize);
+        }
+        digest
+    }
+}
+
+/// Appends one complete, sealed frame for `value` and returns its
+/// digest ([`fnv1a`] over the frame).
+fn encode<S: Snapshot>(value: &S, out: &mut Vec<u8>) -> u64 {
+    let mut w = Writer::new(out);
+    w.put_nested(value);
+    w.seal()
 }
 
 /// Bounds-checked little-endian payload reader used by
@@ -283,7 +394,19 @@ impl<'a> Reader<'a> {
 
     /// Decodes a nested child frame and advances past it.
     pub fn get_nested<C: Snapshot>(&mut self) -> Result<C, SnapshotError> {
-        let (child, used) = C::read_from(&self.bytes[self.pos..])?;
+        self.get_nested_with(C::read_payload)
+    }
+
+    /// Decodes a nested child frame of type `C` with `decode` in place
+    /// of `C::read_payload`, and advances past it. The frame is checked
+    /// exactly as by [`Reader::get_nested`]; this lets a parent hand
+    /// its children state the payload alone cannot carry (a shared
+    /// table, say), with the bytes unchanged.
+    pub fn get_nested_with<C: Snapshot>(
+        &mut self,
+        decode: impl FnOnce(&mut Reader<'_>) -> Result<C, SnapshotError>,
+    ) -> Result<C, SnapshotError> {
+        let (child, used) = read_frame(&self.bytes[self.pos..], C::TAG, decode)?;
         self.pos += used;
         Ok(child)
     }
@@ -317,21 +440,12 @@ pub trait Snapshot: Sized {
     fn read_payload(r: &mut Reader<'_>) -> Result<Self, SnapshotError>;
 
     /// Appends one complete frame (header + payload + checksum).
+    ///
+    /// The whole tree of nested frames is written first and then
+    /// sealed in one pass (see [`Writer::put_nested`]); the bytes are
+    /// the same as hashing each frame on its own as it closes.
     fn write_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.push(SNAPSHOT_VERSION);
-        out.push(Self::TAG);
-        out.extend_from_slice(&0u64.to_le_bytes()); // length backpatched
-        let payload_start = out.len();
-        {
-            let mut w = Writer::new(out);
-            self.write_payload(&mut w);
-        }
-        let payload_len = (out.len() - payload_start) as u64;
-        out[start + 6..start + HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
-        let checksum = fnv1a(&out[start..]);
-        out.extend_from_slice(&checksum.to_le_bytes());
+        encode(self, out);
     }
 
     /// Serializes into a fresh buffer.
@@ -344,12 +458,15 @@ pub trait Snapshot: Sized {
 
     /// [`fnv1a`] over the canonical encoding — a state digest available
     /// in every build (the sketch layer's `state_digest` is gated
-    /// behind `debug_invariants`). Two values digest equal iff their
-    /// frames are bit-identical, which is what chaos runs assert when
-    /// comparing a faulted run against a clean one.
+    /// behind `debug_invariants`). Bit-identical frames digest equal;
+    /// the converse holds only up to 64-bit hash collisions. Chaos runs
+    /// compare a faulted run against a clean one this way.
+    ///
+    /// Computed by the same pass that seals the frame, with no second
+    /// encode or hash; equal to `fnv1a(&self.to_bytes())`.
     #[must_use]
     fn frame_digest(&self) -> u64 {
-        fnv1a(&self.to_bytes())
+        encode(self, &mut Vec::new())
     }
 
     /// Decodes one frame from the front of `bytes`, returning the value
@@ -363,51 +480,62 @@ pub trait Snapshot: Sized {
     ///
     /// Any [`SnapshotError`] on truncated, corrupt, or invalid bytes.
     fn read_from(bytes: &[u8]) -> Result<(Self, usize), SnapshotError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(SnapshotError::Truncated {
-                needed: HEADER_LEN,
-                available: bytes.len(),
-            });
-        }
-        if bytes[0..4] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        if bytes[4] != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(bytes[4]));
-        }
-        if bytes[5] != Self::TAG {
-            return Err(SnapshotError::WrongTag {
-                expected: Self::TAG,
-                found: bytes[5],
-            });
-        }
-        let mut len_bytes = [0u8; 8];
-        len_bytes.copy_from_slice(&bytes[6..HEADER_LEN]);
-        let payload_len = u64::from_le_bytes(len_bytes);
-        // Validate the length prefix against the real buffer before any
-        // use: a hostile prefix must fail here, not size an allocation.
-        let payload_len = usize::try_from(payload_len)
-            .ok()
-            .filter(|&l| l <= bytes.len().saturating_sub(FRAME_OVERHEAD))
-            .ok_or(SnapshotError::Truncated {
-                needed: FRAME_OVERHEAD,
-                available: bytes.len(),
-            })?;
-        let frame_end = HEADER_LEN + payload_len;
-        let mut ck = [0u8; 8];
-        ck.copy_from_slice(&bytes[frame_end..frame_end + 8]);
-        if fnv1a(&bytes[..frame_end]) != u64::from_le_bytes(ck) {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        let mut r = Reader::new(&bytes[HEADER_LEN..frame_end]);
-        let value = Self::read_payload(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(SnapshotError::TrailingBytes {
-                unread: r.remaining(),
-            });
-        }
-        Ok((value, frame_end + 8))
+        read_frame(bytes, Self::TAG, Self::read_payload)
     }
+}
+
+/// Checks one frame of type `tag` at the front of `bytes` (magic,
+/// version, tag, length, checksum) and decodes its payload with
+/// `decode`, returning the value and the bytes consumed.
+fn read_frame<T>(
+    bytes: &[u8],
+    tag: u8,
+    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, SnapshotError>,
+) -> Result<(T, usize), SnapshotError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(SnapshotError::Truncated {
+            needed: HEADER_LEN,
+            available: bytes.len(),
+        });
+    }
+    if bytes[0..4] != SNAPSHOT_MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    if bytes[4] != SNAPSHOT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion(bytes[4]));
+    }
+    if bytes[5] != tag {
+        return Err(SnapshotError::WrongTag {
+            expected: tag,
+            found: bytes[5],
+        });
+    }
+    let mut len_bytes = [0u8; 8];
+    len_bytes.copy_from_slice(&bytes[6..HEADER_LEN]);
+    let payload_len = u64::from_le_bytes(len_bytes);
+    // Validate the length prefix against the real buffer before any
+    // use: a hostile prefix must fail here, not size an allocation.
+    let payload_len = usize::try_from(payload_len)
+        .ok()
+        .filter(|&l| l <= bytes.len().saturating_sub(FRAME_OVERHEAD))
+        .ok_or(SnapshotError::Truncated {
+            needed: FRAME_OVERHEAD,
+            available: bytes.len(),
+        })?;
+    let frame_end = HEADER_LEN + payload_len;
+    let mut ck = [0u8; 8];
+    ck.copy_from_slice(&bytes[frame_end..frame_end + 8]);
+    if fnv1a(&bytes[..frame_end]) != u64::from_le_bytes(ck) {
+        return Err(SnapshotError::ChecksumMismatch);
+    }
+    let mut r = Reader::new(&bytes[HEADER_LEN..frame_end]);
+    let value = decode(&mut r)?;
+    if r.remaining() != 0 {
+        return Err(SnapshotError::TrailingBytes {
+            unread: r.remaining(),
+        });
+    }
+    Ok((value, frame_end + 8))
 }
 
 #[cfg(test)]
@@ -556,6 +684,121 @@ mod tests {
             Pair::read_from(&framed).unwrap_err(),
             SnapshotError::TrailingBytes { unread: 1 }
         );
+    }
+
+    /// The recursive encoder over [`Tree`]: each frame is checksummed
+    /// over `out[start..]` as soon as its payload is written, so a
+    /// child's bytes are hashed again by every enclosing frame. The
+    /// reference the one-pass sealer must match byte for byte.
+    fn write_into_recursive(tree: &Tree, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&SNAPSHOT_MAGIC);
+        out.push(SNAPSHOT_VERSION);
+        out.push(Tree::TAG);
+        out.extend_from_slice(&0u64.to_le_bytes()); // length backpatched
+        for (k, segment) in tree.segments.iter().enumerate() {
+            if k > 0 {
+                write_into_recursive(&tree.children[k - 1], out);
+            }
+            out.extend_from_slice(segment);
+        }
+        let payload_len = (out.len() - start - HEADER_LEN) as u64;
+        out[start + 6..start + HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+        let checksum = fnv1a(&out[start..]);
+        out.extend_from_slice(&checksum.to_le_bytes());
+    }
+
+    /// A frame tree: raw payload segments interleaved with child
+    /// frames (`segments.len() == children.len() + 1`). Empty segments
+    /// put sibling frames back to back.
+    #[derive(Debug)]
+    struct Tree {
+        segments: Vec<Vec<u8>>,
+        children: Vec<Tree>,
+    }
+
+    impl Snapshot for Tree {
+        const TAG: u8 = 251;
+
+        fn write_payload(&self, w: &mut Writer<'_>) {
+            for (k, segment) in self.segments.iter().enumerate() {
+                if k > 0 {
+                    w.put_nested(&self.children[k - 1]);
+                }
+                w.put_bytes(segment);
+            }
+        }
+
+        fn read_payload(_: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+            Err(SnapshotError::Invalid("encode-only test type"))
+        }
+    }
+
+    /// SplitMix64 step: a tiny deterministic source for tree shapes.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A tree exactly `depth` frames deep below the root when
+    /// `fan_out > 0` (the first child always continues the spine), each
+    /// inner node with 1 to `fan_out` children, and segments that are
+    /// empty half the time.
+    fn tree(rng: &mut u64, depth: usize, fan_out: u64) -> Tree {
+        let width = if depth == 0 || fan_out == 0 { 0 } else { 1 + next(rng) % fan_out };
+        let children: Vec<Tree> = (0..width)
+            .map(|k| {
+                let below = if k == 0 { depth - 1 } else { (next(rng) % depth as u64) as usize };
+                tree(rng, below, fan_out)
+            })
+            .collect();
+        let segments = (0..=children.len())
+            .map(|_| {
+                let len = if next(rng).is_multiple_of(2) { 0 } else { next(rng) % 40 };
+                (0..len).map(|_| next(rng) as u8).collect()
+            })
+            .collect();
+        Tree { segments, children }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn one_pass_seal_matches_recursive_encoder(
+            seed in proptest::num::u64::ANY,
+            depth in 0usize..8,
+            fan_out in 0u64..5,
+            prefix_len in 1usize..24,
+        ) {
+            let mut rng = seed;
+            let tree = tree(&mut rng, depth, fan_out);
+            let mut oracle = Vec::new();
+            write_into_recursive(&tree, &mut oracle);
+            proptest::prop_assert_eq!(&tree.to_bytes(), &oracle);
+            // Appending after a prefix leaves the prefix untouched and
+            // seals the frame exactly as in a fresh buffer.
+            let prefix: Vec<u8> = (0..prefix_len).map(|_| next(&mut rng) as u8).collect();
+            let mut appended = prefix.clone();
+            tree.write_into(&mut appended);
+            proptest::prop_assert_eq!(&appended[..prefix_len], &prefix[..]);
+            proptest::prop_assert_eq!(&appended[prefix_len..], &oracle[..]);
+            proptest::prop_assert_eq!(tree.frame_digest(), fnv1a(&oracle));
+        }
+    }
+
+    #[test]
+    fn lanes_match_one_chain_per_state() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        for n in 0..10 {
+            let mut states: Vec<u64> = (0..n).map(|k| FNV_OFFSET ^ k).collect();
+            let want: Vec<u64> = states.iter().map(|&h| fnv1a_from(h, &bytes)).collect();
+            fnv1a_lanes(&mut states, &bytes);
+            assert_eq!(states, want, "{n} lanes");
+        }
     }
 
     #[test]

@@ -297,25 +297,14 @@ impl Snapshot for CashRegisterHIndex {
         if count == 0 {
             return Err(SnapshotError::Invalid("need at least one sampler"));
         }
+        // One ladder for the whole bank when its samplers carry one
+        // fingerprint point (anything this version writes). Older
+        // snapshots with per-sampler points decode onto per-sampler
+        // ladders and take the per-sampler batch path.
         let mut samplers = Vec::with_capacity(count);
+        let mut shared = None;
         for _ in 0..count {
-            samplers.push(r.get_nested::<L0Sampler>()?);
-        }
-        // Re-establish bank-wide ladder sharing when the snapshot's
-        // samplers carry one fingerprint point (anything this version
-        // writes). Older snapshots with per-sampler points decode
-        // unchanged and take the per-sampler batch path.
-        if let Some(first) = samplers.first() {
-            let ladder = Arc::clone(first.ladder_arc());
-            if samplers[1..]
-                .iter()
-                .all(|s| s.ladder_arc().same_base(&ladder))
-            {
-                for s in &mut samplers[1..] {
-                    let shared = s.share_ladder(&ladder);
-                    debug_assert!(shared);
-                }
-            }
+            samplers.push(r.get_nested_with(|p| L0Sampler::read_payload_sharing(p, &mut shared))?);
         }
         let distinct = r.get_nested::<Bjkst>()?;
         let max_seen = r.get_u64()?;
@@ -744,11 +733,37 @@ mod tests {
         est.ingest_batch(&(0..500u64).map(|k| (k % 90, 1 + k % 2)).collect::<Vec<_>>());
         let bytes = est.to_bytes();
         let (mut back, _) = CashRegisterHIndex::read_from(&bytes).unwrap();
-        // Decode re-points every sampler at one ladder, so the
-        // restored estimator keeps the bank fast path (and the
-        // deduplicated scratch accounting).
+        // Decode builds one ladder per fingerprint point and decodes
+        // every sampler onto it, so the restored estimator keeps the
+        // bank fast path (and the deduplicated scratch accounting).
         assert!(back.bank_ladder().is_some());
         assert_eq!(back.scratch_words(), est.scratch_words());
+        back.ingest_batch(&[(7, 3), (11, 2)]);
+        est.ingest_batch(&[(7, 3), (11, 2)]);
+        assert_eq!(back.estimate(), est.estimate());
+        assert_eq!(back.draw_samples(), est.draw_samples());
+    }
+
+    #[test]
+    fn snapshot_roundtrip_keeps_per_sampler_points_apart() {
+        // A bank whose samplers carry their own points (older
+        // snapshots) decodes onto per-sampler ladders, never onto one
+        // shared ladder, and keeps its answers.
+        let mut rng = StdRng::seed_from_u64(32);
+        let mut est = CashRegisterHIndex::with_sampler_count(additive(0.4, 0.3), 3, &mut rng);
+        est.samplers = (0..3)
+            .map(|_| L0Sampler::new(L0SamplerParams::default(), &mut rng))
+            .collect();
+        assert!(est.bank_ladder().is_none());
+        est.ingest_batch(&(0..500u64).map(|k| (k % 90, 1 + k % 2)).collect::<Vec<_>>());
+        let bytes = est.to_bytes();
+        let (mut back, _) = CashRegisterHIndex::read_from(&bytes).unwrap();
+        assert!(back.bank_ladder().is_none());
+        for (b, s) in back.samplers.iter().zip(&est.samplers) {
+            assert_eq!(b.ladder_arc().base(), s.ladder_arc().base());
+        }
+        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(back.estimate(), est.estimate());
         back.ingest_batch(&[(7, 3), (11, 2)]);
         est.ingest_batch(&[(7, 3), (11, 2)]);
         assert_eq!(back.estimate(), est.estimate());

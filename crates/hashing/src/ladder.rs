@@ -116,13 +116,6 @@ impl PowerLadder {
         acc
     }
 
-    /// Whether another ladder exponentiates the same base (the tables
-    /// are then identical by construction).
-    #[must_use]
-    pub fn same_base(&self, other: &Self) -> bool {
-        self.base == other.base
-    }
-
     /// Words of table storage this ladder holds — derived scratch,
     /// reported separately from the paper's random-words space bound
     /// (see `docs/ALGORITHMS.md`, "Space accounting for derived

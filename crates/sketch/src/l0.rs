@@ -189,22 +189,6 @@ impl L0Sampler {
         &self.ladder
     }
 
-    /// Re-points every level (and the sampler itself) at `ladder` if
-    /// it carries the same fingerprint point; returns whether sharing
-    /// succeeded. Used to re-establish bank-wide ladder sharing after
-    /// snapshot decode.
-    pub fn share_ladder(&mut self, ladder: &Arc<PowerLadder>) -> bool {
-        if !self.ladder.same_base(ladder) {
-            return false;
-        }
-        for level in &mut self.levels {
-            let shared = level.share_ladder(ladder);
-            debug_assert!(shared, "levels must match the sampler's own point");
-        }
-        self.ladder = Arc::clone(ladder);
-        true
-    }
-
     /// The geometric level of an index: `Pr[level ≥ j] = 2⁻ʲ`.
     fn level_of(&self, index: u64) -> usize {
         self.level_from_hash(self.level_hash.hash(index))
@@ -436,7 +420,7 @@ impl L0Sampler {
 /// nested frames. Decode re-establishes the one-ladder-per-stack
 /// sharing: every restored level must carry the same fingerprint
 /// point (a structural invariant of construction), and all levels are
-/// re-pointed at a single rebuilt [`PowerLadder`].
+/// decoded onto a single rebuilt [`PowerLadder`].
 impl Snapshot for L0Sampler {
     const TAG: u8 = 7;
 
@@ -449,6 +433,24 @@ impl Snapshot for L0Sampler {
     }
 
     fn read_payload(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Self::read_payload_sharing(r, &mut None)
+    }
+}
+
+impl L0Sampler {
+    /// [`Snapshot::read_payload`] that takes the ladder from `shared`
+    /// when it has this sampler's fingerprint point, and otherwise
+    /// builds one and leaves it in `shared`. A bank decodes all its
+    /// samplers through one `shared`, so samplers that share a point
+    /// come back sharing one ladder, built once.
+    ///
+    /// # Errors
+    ///
+    /// Any [`SnapshotError`] on truncated, corrupt, or invalid bytes.
+    pub fn read_payload_sharing(
+        r: &mut Reader<'_>,
+        shared: &mut Option<Arc<PowerLadder>>,
+    ) -> Result<Self, SnapshotError> {
         let level_hash = r.get_nested::<PolynomialHash>()?;
         let count = r.get_usize()?;
         if !(1..=64).contains(&count) {
@@ -456,15 +458,13 @@ impl Snapshot for L0Sampler {
         }
         let mut levels = Vec::with_capacity(count);
         for _ in 0..count {
-            levels.push(r.get_nested::<SparseRecovery>()?);
+            levels.push(r.get_nested_with(|p| SparseRecovery::read_payload_sharing(p, shared))?);
         }
+        // Levels with one point decoded onto one ladder; a level that
+        // carried another point built its own.
         let ladder = Arc::clone(levels[0].ladder());
-        for level in &mut levels {
-            if !level.share_ladder(&ladder) {
-                return Err(SnapshotError::Invalid(
-                    "levels must share one fingerprint point",
-                ));
-            }
+        if !levels.iter().all(|level| Arc::ptr_eq(level.ladder(), &ladder)) {
+            return Err(SnapshotError::Invalid("levels must share one fingerprint point"));
         }
         Ok(Self { level_hash, levels, ladder })
     }
@@ -856,12 +856,86 @@ mod tests {
     }
 
     #[test]
-    fn share_ladder_rejects_foreign_point() {
-        let mut a = sampler(12);
+    fn decode_puts_every_level_of_a_bank_on_one_ladder() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let first = L0Sampler::new(L0SamplerParams::default(), &mut rng);
+        let second = L0Sampler::with_shared_ladder(
+            L0SamplerParams::default(),
+            Arc::clone(first.ladder_arc()),
+            &mut rng,
+        );
+        let mut bytes = Vec::new();
+        for mut s in [first, second] {
+            for i in 0..2_000u64 {
+                s.update(i, 1);
+            }
+            s.write_into(&mut bytes);
+        }
+        let mut r = Reader::new(&bytes);
+        let mut shared = None;
+        let bank: Vec<L0Sampler> = (0..2)
+            .map(|_| r.get_nested_with(|p| L0Sampler::read_payload_sharing(p, &mut shared)))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let ladder = bank[0].ladder_arc();
+        for s in &bank {
+            assert!(s.levels.len() > 1);
+            assert!(Arc::ptr_eq(s.ladder_arc(), ladder));
+            assert!(s.levels.iter().all(|level| Arc::ptr_eq(level.ladder(), ladder)));
+        }
+        // A lone sampler decodes onto a ladder of its own.
+        let (alone, _) = L0Sampler::read_from(&bank[1].to_bytes()).unwrap();
+        assert!(!Arc::ptr_eq(alone.ladder_arc(), ladder));
+        assert!(alone.levels.iter().all(|level| Arc::ptr_eq(level.ladder(), alone.ladder_arc())));
+    }
+
+    #[test]
+    fn decode_keeps_foreign_points_on_their_own_ladders() {
+        // Independently built samplers carry different points (as in
+        // snapshots of banks that did not share one ladder).
+        let mut originals = [sampler(12), sampler(13)];
+        assert_ne!(originals[0].ladder_arc().base(), originals[1].ladder_arc().base());
+        let mut bytes = Vec::new();
+        for s in &mut originals {
+            for i in 0..2_000u64 {
+                s.update(i, 1);
+            }
+            s.write_into(&mut bytes);
+        }
+        let mut r = Reader::new(&bytes);
+        let mut shared = None;
+        let bank: Vec<L0Sampler> = (0..2)
+            .map(|_| r.get_nested_with(|p| L0Sampler::read_payload_sharing(p, &mut shared)))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert!(!Arc::ptr_eq(bank[0].ladder_arc(), bank[1].ladder_arc()));
+        for (back, original) in bank.iter().zip(&originals) {
+            assert_eq!(back.ladder_arc().base(), original.ladder_arc().base());
+            assert!(back.levels.iter().all(|level| Arc::ptr_eq(level.ladder(), back.ladder_arc())));
+            assert_eq!(back.to_bytes(), original.to_bytes());
+            assert_eq!(back.sample(), original.sample());
+        }
+    }
+
+    #[test]
+    fn decode_rejects_levels_with_mixed_points() {
+        let a = sampler(12);
         let b = sampler(13);
-        assert!(!a.share_ladder(b.ladder_arc()));
-        let own = Arc::clone(a.ladder_arc());
-        assert!(a.share_ladder(&own));
+        assert!(a.levels.len() >= 3);
+        let mixed = |levels: Vec<SparseRecovery>| L0Sampler {
+            level_hash: a.level_hash.clone(),
+            levels,
+            ladder: Arc::clone(a.ladder_arc()),
+        };
+        for forged in [
+            mixed(vec![a.levels[0].clone(), b.levels[1].clone()]),
+            mixed(vec![a.levels[0].clone(), b.levels[1].clone(), a.levels[2].clone()]),
+        ] {
+            assert_eq!(
+                L0Sampler::read_from(&forged.to_bytes()).err(),
+                Some(SnapshotError::Invalid("levels must share one fingerprint point"))
+            );
+        }
     }
 
     #[test]

@@ -250,20 +250,6 @@ impl SparseRecovery {
         &self.ladder
     }
 
-    /// Swaps this sketch's ladder for a shared one with the same base.
-    /// Returns `false` (leaving the sketch untouched) on a base
-    /// mismatch. Crate-internal: this is how a restored ℓ₀-sampler
-    /// re-establishes the one-ladder-per-stack sharing that
-    /// [`Self::with_shared_ladder`] set up originally.
-    pub(crate) fn share_ladder(&mut self, ladder: &Arc<PowerLadder>) -> bool {
-        if ladder.same_base(&self.ladder) {
-            self.ladder = Arc::clone(ladder);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Merges another sketch with identical configuration and
     /// randomness.
     ///
@@ -394,7 +380,8 @@ impl SparseRecovery {
 /// support, not to the `rows × 2s` capacity. Decode rebuilds a
 /// materialised grid when any cell is non-zero and stays lazy
 /// otherwise. The ladder is derived scratch and is rebuilt from the
-/// checksum point.
+/// checksum point, once per point when decoded inside an
+/// [`crate::L0Sampler`].
 impl Snapshot for SparseRecovery {
     const TAG: u8 = 6;
 
@@ -424,6 +411,21 @@ impl Snapshot for SparseRecovery {
     }
 
     fn read_payload(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Self::read_payload_sharing(r, &mut None)
+    }
+}
+
+impl SparseRecovery {
+    /// [`Snapshot::read_payload`] that takes its ladder from `shared`
+    /// when that ladder has the decoded checksum point, and otherwise
+    /// builds one and leaves it in `shared` for the next level. A
+    /// sampler decodes all its levels through one `shared`, so it
+    /// builds one 16 KiB ladder instead of one per level (see
+    /// [`crate::L0Sampler::read_payload_sharing`]).
+    pub(crate) fn read_payload_sharing(
+        r: &mut Reader<'_>,
+        shared: &mut Option<Arc<PowerLadder>>,
+    ) -> Result<Self, SnapshotError> {
         let s = r.get_usize()?;
         let rows = r.get_usize()?;
         if s == 0 {
@@ -493,13 +495,17 @@ impl Snapshot for SparseRecovery {
                 cells[k] = OneSparseRecovery::from_raw_parts(ell, z, f, point)?;
             }
         }
+        let ladder = match shared {
+            Some(ladder) if ladder.base() == point => Arc::clone(ladder),
+            _ => Arc::clone(shared.insert(Arc::new(PowerLadder::new(point)))),
+        };
         Ok(Self {
             s,
             cols,
             hashes,
             cells,
             checksum,
-            ladder: Arc::new(PowerLadder::new(point)),
+            ladder,
         })
     }
 }

@@ -39,9 +39,10 @@
 # mode, used by scripts/check.sh). Pass `bank` to run only the
 # `cash_update` group (the Alg 6 ℓ₀-bank ingest paths) at full size —
 # the quick way to re-measure the bank kernel against the recorded
-# baseline.
+# baseline. Pass `snapshot` to run only the `snapshot` group (encode,
+# digest and decode of the checkpoint frames).
 #
-# Full runs (no --quick / bank) also regenerate the complete
+# Full runs (no --quick / bank / snapshot) also regenerate the complete
 # experiments log under target/experiments_output.txt — it is build
 # output, not a tracked artifact (EXPERIMENTS.md quotes the numbers
 # that matter).
@@ -55,6 +56,7 @@ for arg in "$@"; do
     case "${arg}" in
         --quick) EXTRA+=("--quick"); FULL=0 ;;
         bank) EXTRA+=("--only" "cash_update"); FULL=0 ;;
+        snapshot) EXTRA+=("--only" "snapshot"); FULL=0 ;;
         *) OUT="${arg}" ;;
     esac
 done

@@ -42,6 +42,18 @@ echo "${chaos_stream}" | cargo run -q --release --offline -p hindex-cli --bin hi
     engine --algorithm exact --shards 3 --batch 32 --faults "sweep@100=200" \
     | grep -q "degraded  : no" || {
     echo "    FAIL: kill-sweep did not heal every shard"; exit 1; }
+# The same sweep through the sketch path: every heal decodes the
+# deepest frame tree the workers write (bank -> sampler -> level ->
+# hash), sealed in one pass by the encoder.
+sketch_clean=$(echo "${chaos_stream}" | cargo run -q --release --offline -p hindex-cli --bin hindex -- \
+    engine --algorithm sketch --shards 3 --batch 32 | grep '^digest')
+sketch_chaos=$(echo "${chaos_stream}" | cargo run -q --release --offline -p hindex-cli --bin hindex -- \
+    engine --algorithm sketch --shards 3 --batch 32 --faults "sweep@100=200")
+echo "    sketch clean ${sketch_clean#digest    : }"
+[ "${sketch_clean}" = "$(echo "${sketch_chaos}" | grep '^digest')" ] || {
+    echo "    FAIL: sketch chaos digest diverged from the clean run"; exit 1; }
+echo "${sketch_chaos}" | grep -q "degraded  : no" || {
+    echo "    FAIL: sketch kill-sweep did not heal every shard"; exit 1; }
 
 echo "==> chaos tests (fault injection, replay, honest degradation)"
 cargo test -q --offline -p hindex --test engine_faults

@@ -48,6 +48,8 @@ where
     let checkpoint = victim.checkpoint().expect("checkpoint");
     assert_eq!(checkpoint.stream_offset(), cut as u64);
     let frame = checkpoint.to_bytes();
+    // The fused digest of the deepest frame tree the engine writes.
+    assert_eq!(checkpoint.frame_digest(), hindex_common::snapshot::fnv1a(&frame));
     victim.ingest_batch(&updates[cut..cut + cut / 2]); // lost work
     drop(victim); // the crash
 

@@ -15,7 +15,7 @@
 
 use hindex::prelude::*;
 use hindex_baseline::{CashTable, FullStore};
-use hindex_common::snapshot::{Snapshot, SnapshotError};
+use hindex_common::snapshot::{fnv1a, Snapshot, SnapshotError};
 use hindex_common::ExpGrid;
 use hindex_common::Estimate;
 use hindex_hashing::{PairwiseHash, PolynomialHash, PowerLadder, TabulationHash};
@@ -39,12 +39,12 @@ fn roundtrip<S: Snapshot>(name: &str, value: &S) -> S {
 /// implementor with one loop.
 type Decoder = Box<dyn Fn(&[u8]) -> Result<(), SnapshotError>>;
 
+/// Also pins the fused digest: `frame_digest` comes out of the pass
+/// that seals the frame and must equal FNV-1a over the whole frame.
 fn case<S: Snapshot + 'static>(name: &'static str, value: &S) -> (&'static str, Vec<u8>, Decoder) {
-    (
-        name,
-        value.to_bytes(),
-        Box::new(|bytes| S::read_from(bytes).map(|_| ())),
-    )
+    let bytes = value.to_bytes();
+    assert_eq!(value.frame_digest(), fnv1a(&bytes), "{name}: frame_digest differs");
+    (name, bytes, Box::new(|bytes| S::read_from(bytes).map(|_| ())))
 }
 
 fn sample_papers() -> Vec<Paper> {
